@@ -88,7 +88,11 @@ def _bounded_exploration(
     The single-source case of :func:`~repro.spt.approx_spt.bounded_approx_spt`
     (origin tracking discarded), which runs over the graph's CSR index
     arrays — §7 launches one exploration per net point per scale, so this
-    is the construction's hottest code.
+    is the construction's hottest code.  The rounded weights are a column
+    computed once per ``(CSR, eps)`` and cached on the CSR, so every
+    exploration after the first reads them instead of taking a logarithm
+    per relaxation, and each exploration builds its output from the
+    vertices it touched rather than from a scan over all ``n``.
     """
     csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     true_dist, parent, _origin = bounded_approx_spt(csr, [source], radius, eps)
@@ -170,12 +174,15 @@ def doubling_spanner(
         radius = 2.0 * scale
         participation: Dict[Vertex, int] = {}
         paths_added = 0
-        for u in sorted(net_points, key=repr):
+        # each pair of net points is joined once, from its repr-smaller end
+        ordered = sorted(net_points, key=repr)
+        rank = {v: r for r, v in enumerate(ordered)}
+        for u in ordered:
             true_dist, parent = _bounded_exploration(csr, u, radius, eps)
             for v in true_dist:
                 participation[v] = participation.get(v, 0) + 1
             for v in net_points:
-                if v == u or repr(v) <= repr(u) or v not in true_dist:
+                if rank[v] <= rank[u] or v not in true_dist:
                     continue
                 # add the reported path to the spanner
                 node = v

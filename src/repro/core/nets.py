@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.ledger import RoundLedger
 from repro.determinism import ensure_rng
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.shortest_paths import bounded_dijkstra
 from repro.graphs.weighted_graph import Vertex, WeightedGraph
 from repro.lelists.le_lists import compute_le_lists, first_in_ball
 from repro.spt.approx_spt import bkkl_round_cost, bounded_approx_spt
@@ -173,13 +173,16 @@ def greedy_net(graph: WeightedGraph, radius: float) -> Set[Vertex]:
     Scan vertices in id order; keep each vertex farther than ``radius``
     from all kept ones.  Inherently sequential (the paper's motivation for
     Theorem 3), but optimal parameters: r-covering and r-separated.
+    Only the ``radius``-ball of each kept vertex can decide coverage, so
+    each one runs a radius-bounded Dijkstra (a vertex at exactly
+    ``radius`` is in the ball, hence covered).
     """
     net: List[Vertex] = []
     covered_dist: Dict[Vertex, float] = {}
     for v in sorted(graph.vertices(), key=repr):
         if covered_dist.get(v, float("inf")) > radius:
             net.append(v)
-            dist, _ = dijkstra(graph, v)
+            dist, _ = bounded_dijkstra(graph, v, radius)
             for u, d in dist.items():
                 if d < covered_dist.get(u, float("inf")):
                     covered_dist[u] = d

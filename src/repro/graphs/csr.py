@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.graphs.weighted_graph import WeightedGraph
@@ -53,7 +53,8 @@ class CSRGraph:
     """
 
     __slots__ = (
-        "indptr", "indices", "weights", "verts", "_index", "_mirror", "_sorted",
+        "indptr", "indices", "weights", "verts", "_index", "_mirror", "_rounded",
+        "_sorted",
     )
 
     def __init__(
@@ -71,6 +72,7 @@ class CSRGraph:
         self.verts = verts
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(verts)}
         self._mirror: Optional[List[int]] = None
+        self._rounded: Dict[float, "array[float]"] = {}
         # when the label order is already canonical (the common case:
         # generators insert int vertices 0..n-1 in order), edges() can
         # yield (verts[i], verts[j]) directly without re-canonicalising
@@ -162,6 +164,25 @@ class CSRGraph:
                     mirror[s] = self.edge_slot(indices[s], i)
             self._mirror = mirror
         return self._mirror
+
+    def rounded_weights(
+        self, eps: float, round_up: Callable[[float, float], float]
+    ) -> "array[float]":
+        """The ``weights`` column with each entry replaced by ``round_up(w, eps)``.
+
+        Built lazily (one ``round_up`` call per slot) and cached per
+        ``eps``, like :meth:`mirror`; a CSR is immutable, so the column
+        stays valid for the instance's lifetime, and a re-frozen graph
+        is a new instance with an empty cache.  The rounding rule is
+        passed in because it belongs to the layer that owns the
+        approximation (:mod:`repro.spt.approx_spt`, its only caller); the
+        cache is keyed by ``eps`` alone, so every call must pass that rule.
+        """
+        column = self._rounded.get(eps)
+        if column is None:
+            column = array("d", [round_up(w, eps) for w in self.weights])
+            self._rounded[eps] = column
+        return column
 
     def edges_idx(self) -> Iterator[Tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``."""

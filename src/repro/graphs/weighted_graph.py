@@ -228,12 +228,22 @@ class WeightedGraph:
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "WeightedGraph":
-        """Vertex-induced subgraph ``G[C]`` (used for strong diameters, §2)."""
+        """Vertex-induced subgraph ``G[C]`` (used for strong diameters, §2).
+
+        Visits only the rows of ``C``, taken in this graph's vertex order
+        (the dense order of the cached :meth:`freeze` view), so edges are
+        inserted in the same order as a sweep over :meth:`edges` would
+        insert them: O(|C| log |C| + vol(C)) per call once the view
+        exists, instead of O(m).
+        """
         keep = set(vertices)
         g = WeightedGraph(keep)
-        for u, v, w in self.edges():
-            if u in keep and v in keep:
-                g.add_edge(u, v, w)
+        adj = self._adj
+        rows = sorted((u for u in keep if u in adj), key=self.freeze().index_of)
+        for u in rows:
+            for v, w in adj[u].items():
+                if v in keep and vertex_le(u, v):
+                    g.add_edge(u, v, w)
         return g
 
     def edge_subgraph(

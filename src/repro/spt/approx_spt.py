@@ -182,19 +182,30 @@ def _csr_bounded_approx_spt(
     radius: float,
     eps: float,
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]], Dict[Vertex, Vertex]]:
-    """Indexed variant of :func:`bounded_approx_spt` over a CSR graph."""
+    """Indexed variant of :func:`bounded_approx_spt` over a CSR graph.
+
+    Relaxations read a rounded-weight column computed once per
+    ``(csr, eps)`` and cached on the CSR (§7 runs one exploration per net
+    point per scale over the same frozen graph), and the output dicts are
+    built from the touched indices, sorted so dict order is dense-index
+    order, rather than from a scan over all ``n`` vertices.
+    """
     import heapq
 
     n = csr.n
     indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
+    rounded = csr.rounded_weights(eps, _round_up_weight) if eps > 0 else weights
     INF = float("inf")
     dist: List[float] = [INF] * n
     true_dist: List[float] = [INF] * n
     parent: List[int] = [-2] * n
     origin: List[int] = [-1] * n
+    touched: List[int] = []
     heap: List[Tuple[float, int]] = []
     for s in sources:
         i = csr.index_of(s)
+        if parent[i] == -2:
+            touched.append(i)
         dist[i] = 0.0
         true_dist[i] = 0.0
         parent[i] = -1
@@ -209,10 +220,12 @@ def _csr_bounded_approx_spt(
         tu = true_dist[u]
         ou = origin[u]
         a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + (_round_up_weight(w, eps) if eps > 0 else w)
+        for v, w, rw in zip(indices[a:b], weights[a:b], rounded[a:b]):
+            nd = d + rw
             nt = tu + w
             if nt <= radius and nd < dist[v]:
+                if parent[v] == -2:
+                    touched.append(v)
                 dist[v] = nd
                 true_dist[v] = nt
                 parent[v] = u
@@ -221,10 +234,8 @@ def _csr_bounded_approx_spt(
     out_dist: Dict[Vertex, float] = {}
     out_parent: Dict[Vertex, Optional[Vertex]] = {}
     out_origin: Dict[Vertex, Vertex] = {}
-    for i in range(n):
+    for i in sorted(touched):
         p = parent[i]
-        if p == -2:
-            continue
         out_dist[verts[i]] = true_dist[i]
         out_parent[verts[i]] = None if p == -1 else verts[p]
         out_origin[verts[i]] = verts[origin[i]]

@@ -8,9 +8,12 @@ import pytest
 from repro.analysis import verify_net
 from repro.core import build_net, greedy_net
 from repro.graphs import (
+    dijkstra,
     erdos_renyi_graph,
     grid_graph,
-    path_graph)
+    path_graph,
+    random_geometric_graph,
+)
 
 
 class TestBuildNet:
@@ -95,6 +98,43 @@ class TestGreedyNet:
         pts = greedy_net(g, 2.0)
         verify_net(g, pts, 2.0, 2.0)
         assert 4 <= len(pts) <= 20
+
+    @staticmethod
+    def _full_sssp_reference(graph, radius):
+        """The greedy net computed with one unbounded Dijkstra per point."""
+        net = []
+        covered = {}
+        for v in sorted(graph.vertices(), key=repr):
+            if covered.get(v, math.inf) > radius:
+                net.append(v)
+                dist, _ = dijkstra(graph, v)
+                for u, d in dist.items():
+                    covered[u] = min(d, covered.get(u, math.inf))
+        return set(net)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("radius", [0.5, 4.0, 15.0, 60.0, 1e9])
+    def test_matches_full_sssp_reference(self, seed, radius):
+        for g in (
+            erdos_renyi_graph(50, 0.12, seed=seed),
+            random_geometric_graph(40, seed=seed),
+        ):
+            assert greedy_net(g, radius) == self._full_sssp_reference(g, radius)
+
+    def test_vertex_at_exactly_radius_is_covered(self):
+        g = path_graph(10)  # unit weights: vertex i sits at distance i from 0
+        pts = greedy_net(g, 2.0)
+        assert pts == {0, 3, 6, 9}
+        assert pts == self._full_sssp_reference(g, 2.0)
+
+    @pytest.mark.parametrize("radius", [0.3, 0.6, 1.0])
+    def test_float_tie_boundary_matches_reference(self, radius):
+        g = path_graph(12, weights=[0.1, 0.2, 0.3, 0.4] * 3)
+        assert greedy_net(g, radius) == self._full_sssp_reference(g, radius)
+
+    def test_tiny_and_huge_radius_extremes(self, medium_er):
+        assert greedy_net(medium_er, 1e-9) == set(medium_er.vertices())
+        assert greedy_net(medium_er, 1e12) == {min(medium_er.vertices(), key=repr)}
 
     def test_greedy_not_larger_than_distributed_by_much(self, medium_er):
         """Both are maximal-independent-style nets; sizes comparable."""

@@ -1,16 +1,29 @@
 """Tests for the exact and approximate shortest-path trees."""
 
+import importlib
+import pickle
+
 import pytest
 
-from repro.graphs import WeightedGraph, dijkstra, erdos_renyi_graph, path_graph
+from repro.graphs import (
+    WeightedGraph,
+    bounded_dijkstra,
+    dijkstra,
+    erdos_renyi_graph,
+    path_graph,
+)
 from repro.spt import (
     approx_spt,
     bkkl_round_cost,
     bounded_approx_spt,
     exact_spt_distributed,
 )
+from repro.spt.approx_spt import _round_up_weight
 from repro.analysis import verify_spanning_tree
 from repro.congest import RoundLedger
+
+# the module, not the same-named function that ``repro.spt`` re-exports
+APPROX_SPT = importlib.import_module("repro.spt.approx_spt")
 
 
 class TestDistributedBellmanFord:
@@ -137,3 +150,75 @@ class TestBoundedApproxSPT:
                 total += small_er.weight(node, parent[node])
                 node = parent[node]
             assert total == pytest.approx(dist[v])
+
+
+class TestRoundedColumn:
+    """The bounded exploration relaxes with a rounded-weight column that
+    is computed once per ``(CSR, eps)`` and cached on the CSR."""
+
+    def test_entries_bit_equal_to_round_up(self, medium_er):
+        csr = medium_er.freeze()
+        for eps in (0.05, 0.08, 0.25):
+            column = csr.rounded_weights(eps, _round_up_weight)
+            assert len(column) == len(csr.weights)
+            for w, rw in zip(csr.weights, column):
+                assert rw.hex() == _round_up_weight(w, eps).hex()
+
+    def test_cached_per_eps(self, small_er):
+        csr = small_er.freeze()
+        a = csr.rounded_weights(0.1, _round_up_weight)
+        b = csr.rounded_weights(0.3, _round_up_weight)
+        assert a is not b
+        assert list(a) != list(b)
+        assert csr.rounded_weights(0.1, _round_up_weight) is a
+        assert csr.rounded_weights(0.3, _round_up_weight) is b
+
+    def test_exploration_builds_the_column_once(self, small_er, monkeypatch):
+        calls = []
+
+        def counting(w, eps):
+            calls.append(eps)
+            return _round_up_weight(w, eps)
+
+        monkeypatch.setattr(APPROX_SPT, "_round_up_weight", counting)
+        csr = small_er.freeze()
+        first = bounded_approx_spt(csr, [0], 50.0, 0.2)
+        assert len(calls) == len(csr.weights)
+        assert bounded_approx_spt(csr, [0], 50.0, 0.2) == first
+        bounded_approx_spt(csr, [5], 30.0, 0.2)
+        assert len(calls) == len(csr.weights)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_non_positive_eps_uses_raw_weights(self, small_er, monkeypatch, eps):
+        def refuse(w, eps):
+            raise AssertionError("no rounding for eps <= 0")
+
+        monkeypatch.setattr(APPROX_SPT, "_round_up_weight", refuse)
+        csr = small_er.freeze()
+        dist, _, _ = bounded_approx_spt(csr, [0], 50.0, eps)
+        exact, _ = bounded_dijkstra(csr, 0, 50.0)
+        assert dist == exact
+
+    def test_refrozen_graph_gets_a_fresh_column(self, small_er):
+        g = small_er.copy()
+        old_csr = g.freeze()
+        old = old_csr.rounded_weights(0.2, _round_up_weight)
+        g.add_edge(0, 29, 0.37)
+        new_csr = g.freeze()
+        assert new_csr is not old_csr
+        new = new_csr.rounded_weights(0.2, _round_up_weight)
+        assert new is not old
+        assert len(new) == len(new_csr.weights) == len(old) + 2
+        assert list(new) == [_round_up_weight(w, 0.2) for w in new_csr.weights]
+        # the exploration over the new CSR sees the new edge
+        dist, parent, _ = bounded_approx_spt(new_csr, [0], 0.5, 0.2)
+        assert dist[29] == 0.37 and parent[29] == 0
+
+    def test_pickled_csr_answers_the_same(self, medium_er):
+        csr = medium_er.freeze()
+        before = bounded_approx_spt(csr, [0, 7], 40.0, 0.25)
+        clone = pickle.loads(pickle.dumps(csr))
+        assert bounded_approx_spt(clone, [0, 7], 40.0, 0.25) == before
+        assert bounded_approx_spt(clone, [3], 40.0, 0.1) == bounded_approx_spt(
+            csr, [3], 40.0, 0.1
+        )

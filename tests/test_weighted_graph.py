@@ -1,5 +1,7 @@
 """Unit tests for the core graph structure."""
 
+import random
+
 import pytest
 
 from repro.graphs import WeightedGraph
@@ -152,6 +154,36 @@ class TestDerivedGraphs:
         assert s.n == 2
         assert s.m == 1
         assert s.weight(0, 1) == 1.0
+
+    @staticmethod
+    def _full_sweep_subgraph(graph, vertices):
+        """Induced subgraph by one sweep over every edge of ``graph``."""
+        keep = set(vertices)
+        g = WeightedGraph(keep)
+        for u, v, w in graph.edges():
+            if u in keep and v in keep:
+                g.add_edge(u, v, w)
+        return g
+
+    @staticmethod
+    def _rows(graph):
+        return [(v, list(graph.neighbor_items(v))) for v in graph.vertices()]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subgraph_matches_full_sweep_order(self, seed):
+        """Same vertices, edges, and per-row neighbour order as a sweep
+        over all edges — also for shuffled insertion and mixed labels."""
+        rng = random.Random(seed)
+        labels = list(range(30)) + [f"s{i}" for i in range(10)] + [(1, "t"), 2.5]
+        rng.shuffle(labels)
+        g = WeightedGraph(labels)
+        for _ in range(150):
+            u, v = rng.sample(labels, 2)
+            g.add_edge(u, v, rng.uniform(1.0, 9.0))
+        members = rng.sample(labels, 18) + ["not-a-vertex"]
+        got = g.subgraph(members)
+        want = self._full_sweep_subgraph(g, members)
+        assert self._rows(got) == self._rows(want)
 
     def test_edge_subgraph_spans_by_default(self, triangle):
         s = triangle.edge_subgraph([(0, 1)])
