@@ -106,13 +106,16 @@ def erdos_renyi_graph(
     With ``ensure_connected`` a random Hamiltonian backbone path is added
     (with fresh random weights) so the result is always connected — spanner
     and SLT constructions require connectivity.
+
+    Stream contract: the edge phase consumes exactly n(n−1)/2 + |E|
+    ``random()`` draws before the backbone — one test per pair ``u < v``
+    in row order, then one weight draw per accepted pair.  With numpy
+    the draws are made in bulk (:mod:`repro.kernels.genbulk`); both
+    backends are byte-identical.
     """
     rng = _rng(seed)
     g = WeightedGraph(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v, rng.uniform(min_weight, max_weight))
+    _add_er_edges(g, n, p, min_weight, max_weight, rng)
     if ensure_connected and n > 1:
         order = list(range(n))
         rng.shuffle(order)
@@ -120,6 +123,27 @@ def erdos_renyi_graph(
             if not g.has_edge(a, b):
                 g.add_edge(a, b, rng.uniform(min_weight, max_weight))
     return g
+
+
+def _add_er_edges(
+    g: WeightedGraph, n: int, p: float, min_weight: float, max_weight: float,
+    rng: random.Random,
+) -> None:
+    """The ``G(n, p)`` edge phase over ``g``'s vertices ``0..n-1``."""
+    from repro.kernels.genbulk import er_edge_draws  # lazy: genbulk imports this module
+
+    chunks = er_edge_draws(rng, n, p)
+    if chunks is None:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    g.add_edge(u, v, rng.uniform(min_weight, max_weight))
+        return
+    verts = list(g.vertices())
+    span = max_weight - min_weight  # rng.uniform(a, b) is a + (b - a) * random()
+    for us, vs, draws in chunks:
+        for u, v, r in zip(us, vs, draws):
+            g.add_edge(verts[u], verts[v], min_weight + span * r)
 
 
 def random_points(
@@ -375,8 +399,8 @@ def ring_chord_weight(seed: int, u: int, v: int) -> float:
     Hashing ``(seed, min, max)`` instead of drawing from an RNG stream
     is what lets :mod:`repro.kernels.genpack` stream the identical
     graph straight to disk in any vertex order, without replaying a
-    generator state.  The numpy packer replicates this arithmetic in
-    wrapping uint64, bit-for-bit.
+    generator state.  :func:`repro.kernels.genbulk.ring_chord_weights`
+    replicates this arithmetic in wrapping uint64, bit-for-bit.
     """
     a, b = (u, v) if u <= v else (v, u)
     z = ((seed & _MASK64) ^ ((a * _RC_U + b * _RC_V) & _MASK64)) & _MASK64
@@ -420,15 +444,25 @@ def ring_chords_graph(n: int, chords: int = 2, seed: int = 0) -> WeightedGraph:
     shine.  A pure function of ``(n, chords, seed)``: the streamed
     binary packer produces the identical CSR without ever building
     this object, and ``tests/test_kernels.py`` holds the two to exact
-    parity.
+    parity.  With numpy the weights are hashed in vertex chunks
+    (:mod:`repro.kernels.genbulk`); both backends are byte-identical.
     """
+    from repro.kernels.genbulk import ring_chord_edges  # lazy: genbulk imports this module
+
     offsets = ring_chord_offsets(n, chords)
     g = WeightedGraph(range(n))
-    for u in range(n):
-        for o in offsets:
-            v = (u + o) % n
-            if u < v:
-                g.add_edge(u, v, ring_chord_weight(seed, u, v))
+    chunks = ring_chord_edges(n, offsets, seed)
+    if chunks is None:
+        for u in range(n):
+            for o in offsets:
+                v = (u + o) % n
+                if u < v:
+                    g.add_edge(u, v, ring_chord_weight(seed, u, v))
+        return g
+    verts = list(g.vertices())
+    for us, vs, ws in chunks:
+        for u, v, w in zip(us, vs, ws):
+            g.add_edge(verts[u], verts[v], w)
     return g
 
 

@@ -19,7 +19,9 @@ The second half of the layer is the ``.rpg`` packed format
 raw CSR dump that loads by ``mmap`` into zero-copy memoryviews, plus a
 streamed generator (:mod:`~repro.kernels.genpack`) that writes
 10^6–10^7-node ring-chords instances without ever materializing them —
-the substrate of the harness's ``huge`` tier.
+the substrate of the harness's ``huge`` tier.  :mod:`~repro.kernels.genbulk`
+holds the byte-identical bulk paths of the ER and ring-chords
+generators.
 """
 
 from repro.kernels.dispatch import KERNELS, has_numpy, numpy_or_none, resolve_kernel

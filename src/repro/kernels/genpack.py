@@ -15,7 +15,8 @@ chunk, regardless of ``n``.
 once into ``$REPRO_HUGE_CACHE`` (default: a ``repro-huge`` directory
 under the system temp dir), atomically rename into place, and serve the
 cached file on every later run.  The numpy fast path vectorizes the
-chunk arithmetic (wrapping uint64 splitmix64, bit-identical to the
+chunk arithmetic (the weights through
+:func:`repro.kernels.genbulk.ring_chord_weights`, bit-identical to the
 pure-Python hash); without numpy the same bytes emerge from plain
 loops, only slower.
 """
@@ -29,17 +30,10 @@ from array import array
 from pathlib import Path
 from typing import Any, Optional, Sequence, Tuple, Union
 
-from repro.graphs.generators import (
-    _MASK64,
-    _RC_MIX1,
-    _RC_MIX2,
-    _RC_U,
-    _RC_V,
-    ring_chord_offsets,
-    ring_chord_weight,
-)
+from repro.graphs.generators import ring_chord_offsets, ring_chord_weight
 from repro.kernels.binfmt import PackedFormatError, PackWriter, load_packed
 from repro.kernels.dispatch import numpy_or_none
+from repro.kernels.genbulk import ring_chord_weights
 
 #: vertices per streamed chunk (~ tens of MB of payload per pass)
 CHUNK_VERTICES = 1 << 16
@@ -109,32 +103,23 @@ def _pack_numpy(
     w: PackWriter, np: Any, n: int, offsets: Tuple[int, ...],
     seed: int, chunk: int,
 ) -> None:
-    """Vectorized chunk passes; the weight hash is bit-identical to
-    :func:`~repro.graphs.generators.ring_chord_weight` (wrapping uint64)."""
+    """Vectorized chunk passes; the weights come from
+    :func:`~repro.kernels.genbulk.ring_chord_weights`, bit-identical to
+    :func:`~repro.graphs.generators.ring_chord_weight`."""
     deg = len(offsets)
     offs = np.asarray(offsets, dtype=np.uint64)
-    u64 = np.uint64
     for lo in range(0, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         w.write((np.arange(lo, hi, dtype=np.int64) * deg).astype("<i8").tobytes())
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         us = np.arange(lo, hi, dtype=np.uint64)
-        tg = (us[:, None] + offs[None, :]) % u64(n)
+        tg = (us[:, None] + offs[None, :]) % np.uint64(n)
         w.write(tg.astype("<i4").tobytes())
-    two64 = np.float64(2.0) ** np.float64(64)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        us = np.arange(lo, hi, dtype=np.uint64)
-        tg = (us[:, None] + offs[None, :]) % u64(n)
-        uu = np.broadcast_to(us[:, None], tg.shape)
-        a = np.minimum(uu, tg)
-        b = np.maximum(uu, tg)
-        z = u64(seed & _MASK64) ^ (a * u64(_RC_U) + b * u64(_RC_V))
-        z = (z ^ (z >> u64(30))) * u64(_RC_MIX1)
-        z = (z ^ (z >> u64(27))) * u64(_RC_MIX2)
-        z = z ^ (z >> u64(31))
-        wts = np.float64(1.0) + z.astype(np.float64) / two64
+        us = np.arange(lo, hi, dtype=np.uint64)[:, None]
+        wts = ring_chord_weights(np, seed, us, (us + offs) % np.uint64(n))
         w.write(wts.astype("<f8").tobytes())
 
 
