@@ -9,11 +9,10 @@ and small-graph all-pairs distances.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.weighted_graph import Vertex, WeightedGraph, canonical_edge
+from repro.graphs.weighted_graph import Vertex, WeightedGraph
 
 INF = float("inf")
 
@@ -26,18 +25,17 @@ def _normalize_sources(
 ) -> List[Vertex]:
     """Resolve the ``sources`` argument into a non-empty vertex list.
 
-    A single vertex becomes a one-element list.  Two historically silent
-    misuses are rejected loudly instead:
-
-    * an *empty* iterable (the traversal would return empty dicts that
-      look like "nothing is reachable");
-    * a string that is not itself a vertex (iterating it would treat
-      each character as a source).
+    A single vertex becomes a one-element list.  Historically silent
+    misuses are rejected loudly instead: an *empty* iterable (the
+    traversal would return empty dicts that look like "nothing is
+    reachable"), a string that is not itself a vertex (iterating it
+    would treat each character as a source), and any source that is
+    not a vertex of ``graph``.
 
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string/bytes source.
+        On an empty source set or a source that is not a vertex.
     """
     try:
         if graph.has_vertex(sources):  # single-vertex call
@@ -49,50 +47,39 @@ def _normalize_sources(
             f"source {sources!r} is not a vertex (a non-vertex string would "
             f"be iterated character by character)"
         )
-    out = list(sources)
+    out = list(sources) if isinstance(sources, Iterable) else [sources]
     if not out:
         raise ValueError("at least one source vertex is required")
+    for s in out:
+        if not graph.has_vertex(s):
+            raise ValueError(f"source {s!r} is not a vertex")
     return out
 
 
-def _csr_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex
+def _labelled_sssp(
+    graph: GraphLike,
+    sources: Iterable[Vertex] | Vertex,
+    kernel: str,
+    cap: Optional[float],
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Array-indexed Dijkstra over a CSR graph.
+    """Freeze, run :func:`repro.kernels.sssp`, map indices back to labels.
 
-    The inner loop touches only dense int indices — distance/parent are
-    flat lists and heap entries are ``(float, int)`` pairs, so no vertex
-    hashing or tie-break counter is needed.  Results are converted back
-    to label-keyed dicts to match the public contract.
+    Freezing is cached on the graph (invalidated by mutation), so
+    repeated calls share one CSR view.  Vertices the kernel never
+    labelled (parent ``-2``) are left out; sources map to ``None``.
     """
+    from repro.kernels import sssp
+
+    csr = graph.freeze() if isinstance(graph, WeightedGraph) else graph
     sources = _normalize_sources(csr, sources)
-    n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-2] * n  # -2 = untouched, -1 = source
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        i = csr.index_of(s)
-        dist[i] = 0.0
-        parent[i] = -1
-        heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
+    dist, parent = sssp(
+        csr.indptr, csr.indices, csr.weights,
+        [csr.index_of(s) for s in sources], kernel=kernel, cap=cap,
+    )
+    verts = csr.verts
     out_dist: Dict[Vertex, float] = {}
     out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(n):
-        p = parent[i]
+    for i, p in enumerate(parent):
         if p == -2:
             continue
         out_dist[verts[i]] = dist[i]
@@ -103,7 +90,6 @@ def _csr_dijkstra(
 def dijkstra(
     graph: GraphLike,
     sources: Iterable[Vertex] | Vertex,
-    weight_override: Optional[Dict[Tuple[Vertex, Vertex], float]] = None,
     kernel: str = "python",
 ) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
     """Multi-source Dijkstra.
@@ -111,21 +97,16 @@ def dijkstra(
     Parameters
     ----------
     graph:
-        The weighted graph — either a :class:`WeightedGraph` or a frozen
-        :class:`CSRGraph` (the latter takes the indexed fast path).
+        The weighted graph — either a :class:`WeightedGraph` (frozen to
+        its cached CSR view first) or a :class:`CSRGraph`.
     sources:
         A single vertex or an iterable of source vertices (all at
         distance 0).
-    weight_override:
-        Optional map from canonical edges to replacement weights.  A
-        falsy override (``None`` *or* an empty dict) overrides nothing,
-        so both take the indexed CSR fast path.
     kernel:
         SSSP backend: ``"python"`` (default), ``"numpy"``, or ``"auto"``
         — resolved by :mod:`repro.kernels`.  Distances agree to 1e-9
         across backends; parent choices may differ on equal-length ties
-        (both are witness shortest paths).  Ignored with a
-        ``weight_override`` (the dict path has no CSR to hand a kernel).
+        (both are witness shortest paths).
 
     Returns
     -------
@@ -137,85 +118,10 @@ def dijkstra(
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string source.
+        On an empty source set, a non-vertex string source, or a source
+        that is not a vertex of ``graph``.
     """
-    if not weight_override:
-        # a full SSSP is Ω(m) anyway, so freezing (cached on the graph,
-        # invalidated by mutation) costs at most one extra edge sweep and
-        # every later call on the same graph rides the indexed fast path
-        if isinstance(graph, WeightedGraph):
-            graph = graph.freeze()
-        if kernel != "python":
-            return _kernel_dijkstra(graph, sources, kernel)
-        return _csr_dijkstra(graph, sources)
-    return _dict_dijkstra(graph, sources, weight_override)
-
-
-def _kernel_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex, kernel: str
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """:func:`_csr_dijkstra` through the :mod:`repro.kernels` dispatch.
-
-    The kernels layer works on raw CSR columns and dense indices; this
-    wrapper owns the label translation on both sides, so the public
-    dict-shaped contract is identical for every backend.
-    """
-    from repro.kernels import sssp as kernel_sssp
-
-    sources = _normalize_sources(csr, sources)
-    dist, parent = kernel_sssp(
-        csr.indptr, csr.indices, csr.weights,
-        [csr.index_of(s) for s in sources], kernel=kernel,
-    )
-    verts = csr.verts
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(csr.n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-    return out_dist, out_parent
-
-
-def _dict_dijkstra(
-    graph: GraphLike,
-    sources: Iterable[Vertex] | Vertex,
-    weight_override: Optional[Dict[Tuple[Vertex, Vertex], float]] = None,
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Label-keyed Dijkstra over the adjacency-map API.
-
-    The general path: handles ``weight_override`` and any graph exposing
-    ``neighbor_items``.  Kept separate so benchmarks can compare it
-    against the CSR fast path directly.
-    """
-    sources = _normalize_sources(graph, sources)
-    dist: Dict[Vertex, float] = {}
-    parent: Dict[Vertex, Optional[Vertex]] = {}
-    heap: List[Tuple[float, int, Vertex]] = []
-    counter = 0
-    for s in sources:
-        dist[s] = 0.0
-        parent[s] = None
-        heapq.heappush(heap, (0.0, counter, s))
-        counter += 1
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v, w in graph.neighbor_items(u):
-            if weight_override is not None:
-                w = weight_override.get(canonical_edge(u, v), w)
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return dist, parent
+    return _labelled_sssp(graph, sources, kernel, None)
 
 
 def dijkstra_path(
@@ -245,63 +151,23 @@ def bounded_dijkstra(
 
     Only vertices at distance ``<= radius`` from the nearest source
     appear in the output.  This is the sequential analogue of the
-    Δ-bounded explorations of §7; out-of-radius labels are never pushed,
-    so the heap holds the ball and nothing else.  (The bounded-radius
-    certification engine in :mod:`repro.analysis.certify` is the batched,
-    target-tracking sibling of this primitive.)
+    Δ-bounded explorations of §7: the python kernel's ``cap`` never
+    labels a vertex beyond the radius, so the heap holds the ball and
+    nothing else.  (The bounded-radius certification engine in
+    :mod:`repro.analysis.certify` is the batched, target-tracking
+    sibling of this primitive.)
 
     Like :func:`dijkstra`, ``sources`` may be a single vertex or an
-    iterable of vertices (all at distance 0).  A :class:`WeightedGraph`
-    input is frozen to its cached CSR view first — a bounded exploration
-    is exactly the repeated-call pattern the cache exists for.
+    iterable of vertices (all at distance 0), and a
+    :class:`WeightedGraph` input is frozen to its cached CSR view first.
 
     Raises
     ------
     ValueError
-        On an empty source set or a non-vertex string source.
+        On an empty source set, a non-vertex string source, or a source
+        that is not a vertex of ``graph``.
     """
-    if isinstance(graph, WeightedGraph):
-        graph = graph.freeze()
-    return _csr_bounded_dijkstra(graph, sources, radius)
-
-
-def _csr_bounded_dijkstra(
-    csr: CSRGraph, sources: Iterable[Vertex] | Vertex, radius: float
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    """Indexed multi-source variant of :func:`bounded_dijkstra`."""
-    sources = _normalize_sources(csr, sources)
-    n = csr.n
-    indptr, indices, weights, verts = csr.indptr, csr.indices, csr.weights, csr.verts
-    dist: List[float] = [INF] * n
-    parent: List[int] = [-2] * n
-    heap: List[Tuple[float, int]] = []
-    for s in sources:
-        i = csr.index_of(s)
-        dist[i] = 0.0
-        parent[i] = -1
-        heap.append((0.0, i))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            nd = d + w
-            if nd <= radius and nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    out_dist: Dict[Vertex, float] = {}
-    out_parent: Dict[Vertex, Optional[Vertex]] = {}
-    for i in range(n):
-        p = parent[i]
-        if p == -2:
-            continue
-        out_dist[verts[i]] = dist[i]
-        out_parent[verts[i]] = None if p == -1 else verts[p]
-    return out_dist, out_parent
+    return _labelled_sssp(graph, sources, "python", radius)
 
 
 def all_pairs_shortest_paths(graph: GraphLike) -> Dict[Vertex, Dict[Vertex, float]]:

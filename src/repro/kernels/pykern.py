@@ -9,10 +9,17 @@ lists, ``array('d')`` columns from :class:`~repro.graphs.csr.CSRGraph`,
 and the ``memoryview`` columns an mmap-ed
 :class:`~repro.kernels.binfmt.PackedGraph` exposes, all interchangeably.
 
+It is the repository's one heap-Dijkstra settle loop over CSR columns:
+``dijkstra``/``bounded_dijkstra`` in :mod:`repro.graphs.shortest_paths`
+and the oracle's landmark potentials all run through it.
+
 Cap contract (shared with :mod:`repro.kernels.npkern`): with a finite
 ``cap``, every vertex whose true distance is ``<= cap`` is settled
-exactly; entries beyond the cap are either valid upper bounds or
-``inf`` — callers must not read them as exact.
+exactly; callers must not read entries beyond the cap as exact.  This
+kernel never labels a vertex whose tentative distance exceeds the cap,
+so its beyond-cap entries are always ``inf`` with parent ``-2`` — the
+ball and nothing else, which is what ``bounded_dijkstra`` returns.  The
+numpy kernel may still leave valid upper bounds there.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
-#: parent-array sentinels, matching ``shortest_paths._csr_dijkstra``
+#: parent-array sentinels; ``shortest_paths._labelled_sssp`` maps them to labels
 PARENT_SOURCE = -1
 PARENT_UNREACHED = -2
 
@@ -42,6 +49,7 @@ def sssp(
     harmless.
     """
     n = len(indptr) - 1
+    limit = INF if cap is None else cap
     dist: List[float] = [INF] * n
     parent: List[int] = [PARENT_UNREACHED] * n
     heap: List[Tuple[float, int]] = []
@@ -56,12 +64,10 @@ def sssp(
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        if cap is not None and d > cap:
-            break  # all vertices with true dist <= cap are already settled
         for e in range(indptr[u], indptr[u + 1]):
             v = indices[e]
             nd = d + weights[e]
-            if nd < dist[v]:
+            if nd < dist[v] and nd <= limit:
                 dist[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))

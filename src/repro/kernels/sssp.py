@@ -1,10 +1,13 @@
 """Kernel-dispatching SSSP entry points.
 
-Callers across the stack — ``shortest_paths``, the certify engine,
-landmark selection, the harness — funnel through these three functions
-with raw CSR columns and a ``kernel`` name; resolution happens here
-(see :mod:`repro.kernels.dispatch`), and the numpy backend is only
-imported after it resolved, so the module itself is stdlib-safe.
+Callers across the stack — ``dijkstra`` and ``bounded_dijkstra`` in
+:mod:`repro.graphs.shortest_paths`, landmark selection and
+``query_many`` in :mod:`repro.oracle`, and the harness — funnel through
+these three functions with raw CSR columns and a ``kernel`` name;
+resolution happens here (see :mod:`repro.kernels.dispatch`), and the
+numpy backend is only imported after it resolved, so the module itself
+is stdlib-safe.  The python backend, :func:`repro.kernels.pykern.sssp`,
+is the repository's one heap-Dijkstra settle loop over CSR columns.
 
 Outputs are normalized to plain Python containers (lists of floats /
 ints), because every caller immediately builds label-keyed dicts or

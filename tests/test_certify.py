@@ -27,6 +27,7 @@ from repro.graphs import (
     WeightedGraph,
     bounded_dijkstra,
     dijkstra,
+    eccentricity,
     erdos_renyi_graph,
     path_graph,
 )
@@ -265,21 +266,12 @@ class TestVerifierFixes:
 
 
 class TestDijkstraRegressions:
-    def test_empty_weight_override_takes_csr_fast_path(self):
-        g = path_graph(5, [1.0, 2.0, 3.0, 4.0])
-        with_none, _ = dijkstra(g, 0, weight_override=None)
-        with_empty, _ = dijkstra(g, 0, weight_override={})
-        assert with_none == with_empty
-        assert g._csr_cache is not None  # the empty dict froze the graph too
-
     def test_empty_sources_raise(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="at least one source"):
             dijkstra(g, [])
         with pytest.raises(ValueError, match="at least one source"):
             dijkstra(g.freeze(), iter(()))
-        with pytest.raises(ValueError, match="at least one source"):
-            dijkstra(g, [], weight_override={(0, 1): 5.0})
         with pytest.raises(ValueError, match="at least one source"):
             bounded_dijkstra(g, [], 2.0)
 
@@ -289,6 +281,19 @@ class TestDijkstraRegressions:
             dijkstra(g, "abc")
         with pytest.raises(ValueError, match="not a vertex"):
             bounded_dijkstra(g, "abc", 2.0)
+
+    def test_unknown_source_raises_naming_it(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            dijkstra(g, 9)
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            bounded_dijkstra(g, 9, 2.0)
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            eccentricity(g, 9)
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            dijkstra(g, [0, 9])
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            bounded_dijkstra(g.freeze(), [0, 9], 2.0)
 
     def test_string_vertices_still_work(self):
         g = WeightedGraph()

@@ -7,6 +7,12 @@ recorded before the bookkeeping in these paths was rewritten
 (one-pass case-2 edge-collection charge, cached rounded-weight column,
 radius-bounded greedy nets, row-local induced subgraphs).  Any change
 to an output, a ledger charge or an RNG draw shows up here.
+
+The sequential references every theorem check is measured against —
+exact and radius-bounded Dijkstra, and the oracle's landmark
+potentials — are pinned the same way: the sha256 of the full
+``(vertex, dist, parent)`` output, recorded before those searches were
+routed through the shared kernel settle loop.
 """
 
 from __future__ import annotations
@@ -19,8 +25,10 @@ import pytest
 
 from repro.core import doubling_spanner, greedy_net, light_spanner, shallow_light_tree
 from repro.graphs import WeightedGraph, erdos_renyi_graph, random_geometric_graph
+from repro.graphs.shortest_paths import bounded_dijkstra, dijkstra
 from repro.mst import kruskal_mst
 from repro.mst.fragments import decompose_fragments
+from repro.oracle.landmarks import landmarks_with_potentials
 
 
 def _sha(items: Iterable[Any]) -> str:
@@ -89,6 +97,41 @@ def _fragments_fp(n: int, p: float, seed: int) -> Dict[str, Any]:
     }
 
 
+def _sssp_graph() -> WeightedGraph:
+    return erdos_renyi_graph(500, 0.02, seed=11)
+
+
+def _sssp_fp(dist: Dict[Any, float], parent: Dict[Any, Any]) -> Dict[str, Any]:
+    return {
+        "reached": len(dist),
+        "sha256": _sha((v, d, parent[v]) for v, d in dist.items()),
+    }
+
+
+def _dijkstra_fp(sources: Any) -> Dict[str, Any]:
+    return _sssp_fp(*dijkstra(_sssp_graph(), sources))
+
+
+def _bounded_fp(radii: Iterable[float]) -> Dict[str, Any]:
+    g = _sssp_graph()
+    exact = sorted(dijkstra(g, 0)[0].values())
+    # one radius lands exactly on a vertex's distance: the `<= radius` edge
+    return {
+        repr(r): _sssp_fp(*bounded_dijkstra(g, 0, r))
+        for r in (*radii, exact[125])
+    }
+
+
+def _landmarks_fp(strategy: str) -> Dict[str, Any]:
+    chosen, potentials = landmarks_with_potentials(
+        _sssp_graph().freeze(), 8, strategy, seed=3
+    )
+    return {
+        "landmarks": chosen,
+        "potentials_sha256": hashlib.sha256(repr(potentials).encode()).hexdigest(),
+    }
+
+
 CASES = {
     "light-spanner-er200-k2": lambda: _light_spanner_fp(200, 0.15, 100, 2),
     "light-spanner-er300-k3": lambda: _light_spanner_fp(300, 0.05, 3, 3),
@@ -98,9 +141,36 @@ CASES = {
     "greedy-net-er200": lambda: _greedy_net_fp(erdos_renyi_graph(200, 0.05, seed=10), 25.0),
     "greedy-net-geometric60": lambda: _greedy_net_fp(random_geometric_graph(60, seed=4), 10.0),
     "fragments-er400": lambda: _fragments_fp(400, 0.03, 5),
+    "dijkstra-er500-one-source": lambda: _dijkstra_fp(0),
+    "dijkstra-er500-three-sources": lambda: _dijkstra_fp([0, 17, 333]),
+    "bounded-dijkstra-er500": lambda: _bounded_fp([35.0, 45.0]),
+    "landmarks-er500-far": lambda: _landmarks_fp("far"),
+    "landmarks-er500-degree": lambda: _landmarks_fp("degree"),
 }
 
 GOLDEN: Dict[str, Dict[str, Any]] = {
+    "bounded-dijkstra-er500": {
+        "35.0": {
+            "reached": 20,
+            "sha256": "3cfe73202a79716220e4842abb818215db4b21c6b42ffc441f89cf6ebbdb6371",
+        },
+        "45.0": {
+            "reached": 59,
+            "sha256": "9326c3d61d71d65f43e439e65288899b9a93c7494129909e78dc2c1afded04ff",
+        },
+        "54.28464028336385": {
+            "reached": 126,
+            "sha256": "b2dbeb6c5edb67539bb6664526ca6c037c448914b8356b0cda59ced689013c70",
+        },
+    },
+    "dijkstra-er500-one-source": {
+        "reached": 500,
+        "sha256": "5712ebb513bcfcff6548452cc1a6f3f55de5f8c84e783a27b82252f0a2480263",
+    },
+    "dijkstra-er500-three-sources": {
+        "reached": 500,
+        "sha256": "997df341a2ad040a0bb1c7a162ccfcc689d2903ed5bed70d59794af60dbe435c",
+    },
     "doubling-geometric30": {
         "edges": 232,
         "sha256": "d4f7506fd8ccba6625269ab1d81b9960cbcd56d3cf23233541524e8a44b7a608",
@@ -130,6 +200,14 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
     "greedy-net-geometric60": {
         "points": 30,
         "sha256": "d9d6378bc384a1153260a80c09766d7fded75fafcec7588234fcee5aa2b4e0c9",
+    },
+    "landmarks-er500-degree": {
+        "landmarks": [450, 114, 365, 58, 253, 118, 282, 96],
+        "potentials_sha256": "fff1e4bad526feb229a07b6ace940a8a7af1a70542cc84ee0ffa73540eba97ca",
+    },
+    "landmarks-er500-far": {
+        "landmarks": [121, 142, 346, 223, 173, 470, 249, 379],
+        "potentials_sha256": "e3ef40c113992bd10d56b836ccdc0189cc94ca8beec8271824f67ad63c64acf0",
     },
     "light-spanner-er200-k2": {
         "edges": 3060,

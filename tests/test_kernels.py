@@ -147,12 +147,13 @@ def test_python_kernel_cap_contract():
     ip, idx, w = _csr_columns(g)
     exact, _ = sssp(ip, idx, w, [0])
     cap = sorted(d for d in exact if not math.isinf(d))[len(exact) // 3]
-    capped, _ = sssp(ip, idx, w, [0], cap=cap)
+    capped, parent = sssp(ip, idx, w, [0], cap=cap)
     for v, d in enumerate(exact):
         if d <= cap:
             assert abs(capped[v] - d) <= 1e-9  # within cap: exact
         else:
-            assert capped[v] >= d - 1e-9  # beyond: upper bound or inf
+            # the python kernel never labels beyond the cap
+            assert math.isinf(capped[v]) and parent[v] == -2
 
 
 def test_residual_detects_perturbation():
@@ -272,12 +273,15 @@ def test_certify_kernel_flag():
 
 
 @needs_numpy
-def test_oracle_kernel_flag():
+@pytest.mark.parametrize("strategy", ["far", "degree"])
+def test_oracle_kernel_flag(strategy):
     from repro.oracle import DistanceOracle
 
     g = erdos_renyi_graph(40, 0.15, seed=8)
-    base = DistanceOracle.build(g, landmarks=4, seed=0)
-    fast = DistanceOracle.build(g, landmarks=4, seed=0, kernel="numpy")
+    base = DistanceOracle.build(g, landmarks=4, seed=0, strategy=strategy)
+    fast = DistanceOracle.build(
+        g, landmarks=4, seed=0, strategy=strategy, kernel="numpy"
+    )
     # backend-independent selection: same landmarks, same answers
     assert base.landmarks == fast.landmarks
     verts = sorted(g.vertices(), key=repr)

@@ -47,11 +47,6 @@ class TestDijkstra:
         dist, _ = dijkstra(g, 0)
         assert 2 not in dist
 
-    def test_weight_override(self):
-        g = path_graph(3, [1.0, 1.0])
-        dist, _ = dijkstra(g, 0, weight_override={(1, 2): 10.0})
-        assert dist[2] == 11.0
-
 
 class TestDijkstraPath:
     def test_returns_actual_path(self, triangle):
