@@ -80,8 +80,6 @@ RESIDENCY_PROBE = textwrap.dedent("""\
     import pickle
     import sys
 
-    from multiprocessing import resource_tracker
-
     from repro.serve import attach_oracle
 
 
@@ -99,11 +97,6 @@ RESIDENCY_PROBE = textwrap.dedent("""\
     if mode == "attach":
         handle = attach_oracle(source)
         oracle = handle.oracle
-        # this probe has its own resource tracker (it is not a
-        # multiprocessing child); pre-3.13 attach registered the
-        # segment there, and exiting would unlink it from under the
-        # publisher — hand the registration back before exiting
-        resource_tracker.unregister("/" + source.lstrip("/"), "shared_memory")
     else:
         with open(source, "rb") as fh:
             oracle = pickle.loads(fh.read())

@@ -25,42 +25,44 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.graphs import WeightedGraph
-from repro.core import (
-    light_spanner,
-    shallow_light_tree,
-    slt_base,
-    build_net,
-    greedy_net,
-    doubling_spanner,
-    estimate_mst_weight_via_nets,
-)
-from repro.analysis import (
-    certify_edge_stretch,
-    lightness,
-    max_edge_stretch,
-    max_pairwise_stretch,
-    root_stretch,
-)
-from repro.oracle import DistanceOracle, build_oracle
+from __future__ import annotations
+
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "WeightedGraph",
-    "light_spanner",
-    "shallow_light_tree",
-    "slt_base",
-    "build_net",
-    "greedy_net",
-    "doubling_spanner",
-    "estimate_mst_weight_via_nets",
-    "certify_edge_stretch",
-    "lightness",
-    "max_edge_stretch",
-    "max_pairwise_stretch",
-    "root_stretch",
-    "DistanceOracle",
-    "build_oracle",
-    "__version__",
-]
+#: public name -> the module that defines it; each loads on first use
+#: (PEP 562), so ``import repro.serve.daemon`` pays for no construction
+_EXPORTS = {
+    "WeightedGraph": "repro.graphs",
+    "light_spanner": "repro.core",
+    "shallow_light_tree": "repro.core",
+    "slt_base": "repro.core",
+    "build_net": "repro.core",
+    "greedy_net": "repro.core",
+    "doubling_spanner": "repro.core",
+    "estimate_mst_weight_via_nets": "repro.core",
+    "certify_edge_stretch": "repro.analysis",
+    "lightness": "repro.analysis",
+    "max_edge_stretch": "repro.analysis",
+    "max_pairwise_stretch": "repro.analysis",
+    "root_stretch": "repro.analysis",
+    "DistanceOracle": "repro.oracle",
+    "build_oracle": "repro.oracle",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -24,37 +24,23 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro import io as graph_io
-from repro.analysis import (
-    lightness,
-    max_edge_stretch,
-    max_pairwise_stretch,
-    root_stretch,
-)
-from repro.core import (
-    build_net,
-    doubling_spanner,
-    estimate_mst_weight_via_nets,
-    light_spanner,
-    shallow_light_tree,
-)
-from repro.graphs import (
-    WeightedGraph,
-    erdos_renyi_graph,
-    grid_graph,
-    random_geometric_graph,
-)
+if TYPE_CHECKING:
+    from repro.graphs import WeightedGraph
 
 
 def _load(path: str) -> WeightedGraph:
+    from repro import io as graph_io
+
     if path.endswith(".json"):
         return graph_io.read_json(path)
     return graph_io.read_edge_list(path)
 
 
 def _save(graph: WeightedGraph, path: str) -> None:
+    from repro import io as graph_io
+
     if path.endswith(".json"):
         graph_io.write_json(graph, path)
     else:
@@ -71,6 +57,8 @@ def _root_of(graph: WeightedGraph, requested: Optional[str]):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.graphs import erdos_renyi_graph, grid_graph, random_geometric_graph
+
     if args.family == "er":
         g = erdos_renyi_graph(args.n, args.p, seed=args.seed)
     elif args.family == "geometric":
@@ -84,6 +72,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_spanner(args: argparse.Namespace) -> int:
+    from repro.analysis import lightness, max_edge_stretch
+    from repro.core import light_spanner
+
     g = _load(args.graph)
     res = light_spanner(g, args.k, args.eps, random.Random(args.seed))
     print(f"input      {g}")
@@ -99,6 +90,9 @@ def cmd_spanner(args: argparse.Namespace) -> int:
 
 
 def cmd_slt(args: argparse.Namespace) -> int:
+    from repro.analysis import lightness, root_stretch
+    from repro.core import shallow_light_tree
+
     g = _load(args.graph)
     root = _root_of(g, args.root)
     res = shallow_light_tree(g, root, args.alpha)
@@ -115,6 +109,8 @@ def cmd_slt(args: argparse.Namespace) -> int:
 
 
 def cmd_net(args: argparse.Namespace) -> int:
+    from repro.core import build_net
+
     g = _load(args.graph)
     res = build_net(g, args.scale, args.delta, random.Random(args.seed))
     print(f"input       {g}")
@@ -127,6 +123,9 @@ def cmd_net(args: argparse.Namespace) -> int:
 
 
 def cmd_doubling(args: argparse.Namespace) -> int:
+    from repro.analysis import lightness, max_pairwise_stretch
+    from repro.core import doubling_spanner
+
     g = _load(args.graph)
     res = doubling_spanner(
         g, args.eps, random.Random(args.seed), net_method=args.net_method
@@ -144,6 +143,8 @@ def cmd_doubling(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core import estimate_mst_weight_via_nets
+
     g = _load(args.graph)
     est = estimate_mst_weight_via_nets(
         g, net_method=args.net_method, rng=random.Random(args.seed)
@@ -501,6 +502,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         warm=args.warm,
         max_frame=args.max_frame,
     )
+
+    def _stop(signum: int, frame: object) -> None:
+        server.request_shutdown()
+
+    # installed before start(): a supervisor may stop the daemon the
+    # moment READY appears, and the default action would skip teardown
+    signal.signal(signal.SIGTERM, _stop)
+    signal.signal(signal.SIGINT, _stop)
     server.start()
     address = server.address
     spec = (
@@ -515,12 +524,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"payload_bytes={server.payload_bytes} pid={os.getpid()}",
         flush=True,
     )
-
-    def _stop(signum: int, frame: object) -> None:
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
     server.serve_forever()
     print("daemon stopped", flush=True)
     return 0

@@ -2,7 +2,7 @@
 
 The serving layer's concurrent half: :mod:`repro.serve.shm` publishes a
 built :class:`~repro.oracle.oracle.DistanceOracle` into one
-shared-memory segment, :mod:`repro.serve.daemon` runs N worker
+``/dev/shm`` segment, :mod:`repro.serve.daemon` runs N worker
 processes over it behind a length-prefixed socket protocol
 (:mod:`repro.serve.protocol`), and :mod:`repro.serve.client` is the
 blocking client the load generator multiplies.  See the DESIGN.md

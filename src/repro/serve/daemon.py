@@ -3,20 +3,27 @@
 Architecture — one parent event loop, N compute workers::
 
     clients ── TCP / unix socket ──▶ parent (selectors loop)
-                                        │  per-worker duplex Pipe
+                                        │  per-worker socketpair
                                         ▼
-                       worker 0 … worker N-1  (spawned processes)
+                       worker 0 … worker N-1  (plain interpreters)
                                         ▲
-                one shared segment ─────┘  (repro.serve.shm)
+                one shared segment ─────┘  (repro.serve.shm, by fd)
+
+The daemon's processes are exactly the parent and its N workers.  Each
+worker is a ``subprocess.Popen`` interpreter that imports only the
+serving path; it inherits two descriptors — the oracle segment, whose
+``/dev/shm`` name the parent has already removed, and its end of a
+``socket.socketpair()`` that both sides wrap in
+:class:`multiprocessing.connection.Connection` for pickled messages.
 
 The parent owns every client connection and never computes a distance;
-workers never touch a socket.  That split is what makes crash isolation
-*answerable*: when a worker dies (its ``Process.sentinel`` becomes
-readable in the same selector that watches the sockets), the parent
-still holds the client connections of the requests that died with it,
-answers each with a typed ``worker_crashed`` error, and respawns the
-worker — the daemon as a whole never hangs and never drops a
-connection because of a worker failure.
+workers never touch a client socket.  That split is what makes crash
+isolation *answerable*: when a worker dies, its socket reads EOF in the
+same selector that watches the clients, and the parent still holds the
+client connections of the requests that died with it, answers each
+with a typed ``worker_crashed`` error, and respawns the worker over
+the same segment descriptor — the daemon as a whole never hangs and
+never drops a connection because of a worker failure.
 
 Requests are dispatched to the live worker with the fewest outstanding
 requests; ``stats`` fans out to every worker and folds the per-worker
@@ -41,9 +48,10 @@ import selectors
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
-from multiprocessing import get_context
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Set
 
@@ -51,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.oracle.oracle import DistanceOracle
 from repro.serve import protocol
 from repro.serve.protocol import Address
-from repro.serve.shm import OracleShare, attach_oracle, publish_oracle
+from repro.serve.shm import OracleShare, attach_fd, publish_oracle
 
 DEFAULT_WORKERS = 2
 DEFAULT_HOST = "127.0.0.1"
@@ -59,6 +67,19 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_READY_TIMEOUT = 60.0
 
 _LEN = struct.Struct("!I")
+
+#: the ``src`` directory this module was loaded from; a worker puts it
+#: first on ``sys.path`` so it runs the parent's code
+_SRC_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+#: a worker interpreter's whole program; argv is the src root, then the
+#: worker id, segment fd, socket fd and warm count
+_WORKER_BOOT = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from repro.serve.daemon import worker_main; "
+    "worker_main(*map(int, sys.argv[2:]))"
+)
 
 
 # ----------------------------------------------------------------------
@@ -149,23 +170,24 @@ def _execute(
         )
 
 
-def worker_main(
-    worker_id: int, shm_name: str, conn: Connection, warm: int
-) -> None:
-    """Entry point of one serving worker (spawned process).
+def worker_main(worker_id: int, shm_fd: int, conn_fd: int, warm: int) -> None:
+    """Entry point of one serving worker (its own interpreter).
 
-    Attaches the shared oracle segment (zero-copy), optionally warms the
-    scratch arrays and cache with ``warm`` seeded self-queries, reports
-    ready, then answers ``(req_id, op, args)`` messages from the parent
-    until told to exit or the pipe closes.  All state is local to the
-    process: a private metrics registry, the label-resolution dict, and
-    the attached oracle — nothing global is written.
+    Maps the oracle segment inherited on ``shm_fd`` (zero-copy),
+    optionally warms the scratch arrays and cache with ``warm`` seeded
+    self-queries, reports ready, then answers ``(req_id, op, args)``
+    messages from the parent on the socket ``conn_fd`` until told to
+    exit or the socket closes.  All state is local to the process: a
+    private metrics registry, the label-resolution dict, and the
+    attached oracle — nothing global is written.
     """
     # the parent handles SIGINT for the whole process group; a worker
     # interrupted mid-recv would otherwise die with a KeyboardInterrupt
-    # traceback instead of exiting through the pipe protocol
+    # traceback instead of exiting through the socket protocol
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    handle = attach_oracle(shm_name)
+    conn = Connection(conn_fd)
+    handle = attach_fd(shm_fd)
+    os.close(shm_fd)
     oracle = handle.oracle
     assert oracle is not None
     registry = MetricsRegistry()
@@ -195,6 +217,7 @@ def worker_main(
     finally:
         del oracle, by_name
         handle.close()
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +228,9 @@ class _Worker:
 
     __slots__ = ("worker_id", "proc", "conn", "outstanding", "alive")
 
-    def __init__(self, worker_id: int, proc: Any, conn: Connection) -> None:
+    def __init__(
+        self, worker_id: int, proc: subprocess.Popen, conn: Connection
+    ) -> None:
         self.worker_id = worker_id
         self.proc = proc
         self.conn = conn
@@ -288,7 +313,6 @@ class Server:
         self._next_req = 0
         self._listener: Optional[socket.socket] = None
         self._sel: Optional[selectors.BaseSelector] = None
-        self._ctx = get_context("spawn")
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         self._stop = threading.Event()
@@ -313,16 +337,16 @@ class Server:
 
     def _spawn_worker(self, worker_id: int) -> _Worker:
         assert self._share is not None
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self._share.name, child_conn, self.warm),
-            name=f"repro-serve-worker-{worker_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        worker = _Worker(worker_id, proc, parent_conn)
+        shm_fd = self._share.fd
+        parent_sock, child_sock = socket.socketpair()
+        with child_sock:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_BOOT, _SRC_ROOT, str(worker_id),
+                 str(shm_fd), str(child_sock.fileno()), str(self.warm)],
+                stdin=subprocess.DEVNULL,
+                pass_fds=(shm_fd, child_sock.fileno()),
+            )
+        worker = _Worker(worker_id, proc, Connection(parent_sock.detach()))
         self._workers[worker_id] = worker
         self.metrics.counter("serve.workers.spawned").inc()
         if self._sel is not None:
@@ -334,14 +358,13 @@ class Server:
         self._sel.register(
             worker.conn, selectors.EVENT_READ, ("worker", worker.worker_id)
         )
-        self._sel.register(
-            worker.proc.sentinel,
-            selectors.EVENT_READ,
-            ("sentinel", worker.worker_id),
-        )
 
     def start(self) -> None:
         """Publish the segment, spawn workers, wait ready, bind the socket.
+
+        The segment's ``/dev/shm`` name is removed as soon as it is
+        written: workers inherit its descriptor, so no crash of any
+        process can leave it behind.
 
         Raises
         ------
@@ -349,6 +372,7 @@ class Server:
             When a worker fails to report ready within ``ready_timeout``.
         """
         self._share = publish_oracle(self.oracle)
+        self._share.unlink_name()
         self._started_at = time.monotonic()
         try:
             for worker_id in range(self.workers):
@@ -431,8 +455,6 @@ class Server:
                             self._client_readable(tag)
                     elif kind == "worker":
                         self._worker_readable(tag)
-                    elif kind == "sentinel":
-                        self._worker_died(tag)
         finally:
             self.close()
 
@@ -801,16 +823,15 @@ class Server:
         if worker is None or not worker.alive:
             return
         worker.alive = False
-        for fileobj in (worker.conn, worker.proc.sentinel):
-            try:
-                self._sel.unregister(fileobj)
-            except (KeyError, ValueError):
-                pass
+        try:
+            self._sel.unregister(worker.conn)
+        except (KeyError, ValueError):
+            pass
         try:
             worker.conn.close()
         except OSError:
             pass
-        worker.proc.join(timeout=1.0)
+        _reap(worker.proc, grace=1.0)
         self.metrics.counter("serve.workers.crashed").inc()
         # every request that died with the worker gets a typed error now
         for req_id in sorted(worker.outstanding):
@@ -893,13 +914,7 @@ class Server:
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers.values():
-            worker.proc.join(timeout=5.0)
-            if worker.proc.is_alive():  # pragma: no cover - stuck worker
-                worker.proc.terminate()
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():
-                    worker.proc.kill()
-                    worker.proc.join(timeout=2.0)
+            _reap(worker.proc, grace=5.0)
             try:
                 worker.conn.close()
             except OSError:
@@ -918,3 +933,12 @@ class Server:
         if self._share is not None:
             self._share.unlink()
             self._share = None
+
+
+def _reap(proc: subprocess.Popen, grace: float) -> None:
+    """Wait ``grace`` seconds for a worker to exit, then kill and reap it."""
+    try:
+        proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+        proc.kill()
+        proc.wait()

@@ -2,13 +2,16 @@
 
 The daemon's workers must not hold N pickled oracle copies: the frozen
 CSR arrays, landmark potentials and component labels are the oracle's
-entire bulk, they are read-only after construction, and Python's
-``multiprocessing.shared_memory`` maps one copy into every process.
-:func:`publish_oracle` lays a built :class:`DistanceOracle` out in a
-single shared segment; :func:`attach_oracle` reconstructs a fully
-functional oracle in another process whose array sections are
-zero-copy ``memoryview`` casts over the shared buffer (the same idiom
-the ``.rpg`` mmap loader uses in :mod:`repro.kernels.binfmt`).
+entire bulk, and they are read-only after construction.
+:func:`publish_oracle` lays a built :class:`DistanceOracle` out in one
+file on the ``/dev/shm`` tmpfs (created ``O_EXCL``, mode 0600);
+:func:`attach_oracle` and :func:`attach_fd` map it read-only and
+rebuild a fully functional oracle whose array sections are zero-copy
+``memoryview`` casts over the mapping (the same idiom the ``.rpg``
+mmap loader uses in :mod:`repro.kernels.binfmt`).  Linux tmpfs is the
+supported platform.  Nothing registers the segment with
+multiprocessing's resource tracker, so no extra process is started to
+watch it.
 
 Segment layout (all offsets 8-byte aligned)::
 
@@ -26,19 +29,25 @@ every O(n + m) array is shared.  Worker-side private memory growth on
 attach is therefore bounded by the vertex-label list and the index
 dict, which the memory-footprint test gates against the payload size.
 
-Lifetime: the publisher owns the segment and must
-:meth:`~OracleShare.unlink` it when the daemon exits.  Attached oracles
-hold live memoryviews into the mapping, so :meth:`AttachedOracle.close`
-drops the oracle and releases every exported view before unmapping;
-workers call it on their way out.
+Lifetime: the publisher owns the segment's name, its descriptor and
+its own mapping.  The daemon hands the descriptor to its workers and
+removes the name at once (:meth:`OracleShare.unlink_name`), so the
+kernel frees the pages when the last process holding the descriptor
+or a mapping exits, however it exits.  :meth:`OracleShare.unlink`
+removes the name (if still there), unmaps and closes the descriptor.
+Attached oracles hold live memoryviews into the mapping, so
+:meth:`AttachedOracle.close` drops the oracle and releases every
+exported view before unmapping; workers call it on their way out.
 """
 
 from __future__ import annotations
 
 import array
+import mmap
+import os
 import pickle
+import secrets
 import struct
-from multiprocessing import shared_memory
 from typing import Any, Dict, List, Tuple
 
 from repro.graphs.csr import CSRGraph
@@ -47,66 +56,60 @@ from repro.oracle.oracle import DistanceOracle
 MAGIC = b"RPSHM01\x00"
 _HEADER = struct.Struct("!QQQ")
 _HEADER_END = len(MAGIC) + _HEADER.size
+_SHM_DIR = "/dev/shm"
 
 
 def _align(offset: int) -> int:
     return (offset + 7) & ~7
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without adopting its lifetime.
-
-    Python 3.13 grew ``track=False`` for exactly this.  On earlier
-    interpreters an attach re-registers the name with the resource
-    tracker; because the daemon's spawned workers share the parent's
-    tracker process and its registry is set-based, that re-registration
-    is idempotent and harmless — whereas the common ``unregister``
-    workaround would strip the *publisher's* registration out of the
-    shared tracker and leak the segment if the daemon dies uncleanly.
-    So on pre-3.13 the attach deliberately leaves tracking alone; the
-    publisher's :meth:`OracleShare.unlink` remains the one unlink.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
+def _path(name: str) -> str:
+    return os.path.join(_SHM_DIR, name.lstrip("/"))
 
 
 class OracleShare:
-    """Publisher-side handle: owns the segment until :meth:`unlink`."""
+    """Publisher-side handle: owns the segment's name, descriptor and
+    the publisher's mapping."""
 
     def __init__(
         self,
-        seg: shared_memory.SharedMemory,
+        name: str,
+        fd: int,
+        buf: mmap.mmap,
         payload_bytes: int,
         n: int,
         m2: int,
         landmarks: int,
     ) -> None:
-        self._seg = seg
-        self.name = seg.name
+        self.name = name
+        self.fd = fd
+        self._buf = buf
         self.payload_bytes = payload_bytes
         self.n = n
         self.m2 = m2
         self.landmarks = landmarks
 
-    def close(self) -> None:
-        """Unmap the publisher's view (the segment itself survives)."""
-        self._seg.close()
+    def unlink_name(self) -> None:
+        """Remove the ``/dev/shm`` name; the descriptor and every mapping
+        stay valid, and the pages go with the last of them."""
+        try:
+            os.unlink(_path(self.name))
+        except FileNotFoundError:
+            pass
 
     def unlink(self) -> None:
-        """Unmap and destroy the segment."""
-        self._seg.close()
-        try:
-            self._seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
-            pass
+        """Remove the name, unmap, and close the publisher's descriptor."""
+        self.unlink_name()
+        self._buf.close()
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
 
 
 class AttachedOracle:
     """Worker-side handle pairing the rebuilt oracle with its mapping.
 
-    The oracle's array sections are memoryviews into the shared buffer;
+    The oracle's array sections are memoryviews into the mapping;
     :meth:`close` drops the oracle reference and releases them all
     before unmapping (it never unlinks — the publisher owns that).
     """
@@ -114,7 +117,7 @@ class AttachedOracle:
     def __init__(
         self,
         oracle: DistanceOracle,
-        seg: shared_memory.SharedMemory,
+        seg: mmap.mmap,
         views: List[memoryview],
         payload_bytes: int,
     ) -> None:
@@ -173,8 +176,15 @@ def publish_oracle(oracle: DistanceOracle) -> OracleShare:
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     total = meta_offset + len(meta)
-    seg = shared_memory.SharedMemory(create=True, size=total)
-    buf = seg.buf
+    name = f"rpshm_{secrets.token_hex(8)}"
+    fd = os.open(_path(name), os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        os.ftruncate(fd, total)
+        buf = mmap.mmap(fd, total)
+    except BaseException:
+        os.close(fd)
+        os.unlink(_path(name))
+        raise
     buf[: len(MAGIC)] = MAGIC
     _HEADER.pack_into(buf, len(MAGIC), meta_offset, len(meta), total)
     for sec_name, _code, raw in raw_sections:
@@ -182,37 +192,50 @@ def publish_oracle(oracle: DistanceOracle) -> OracleShare:
         buf[off : off + length] = raw
     buf[meta_offset : meta_offset + len(meta)] = meta
     return OracleShare(
-        seg, payload_bytes=total, n=n, m2=m2, landmarks=len(oracle.potentials)
+        name, fd, buf, payload_bytes=total, n=n, m2=m2, landmarks=len(oracle.potentials)
     )
 
 
 def attach_oracle(name: str) -> AttachedOracle:
-    """Rebuild a servable oracle over the shared segment ``name``.
-
-    The CSR arrays, potentials and components of the returned oracle are
-    zero-copy views into the shared mapping; only the vertex labels and
-    the label-index dict are private to the attaching process.
+    """Rebuild a servable oracle over the published segment ``name``.
 
     Raises
     ------
     ValueError
         When the segment does not carry the expected magic.
     """
-    seg = _attach_segment(name)
-    buf = seg.buf
-    if bytes(buf[: len(MAGIC)]) != MAGIC:
+    fd = os.open(_path(name), os.O_RDONLY)
+    try:
+        return attach_fd(fd)
+    finally:
+        os.close(fd)
+
+
+def attach_fd(fd: int) -> AttachedOracle:
+    """Rebuild a servable oracle over the segment open on ``fd``.
+
+    The CSR arrays, potentials and components of the returned oracle are
+    zero-copy views into a read-only mapping; only the vertex labels and
+    the label-index dict are private to the attaching process.  The
+    mapping holds its own reference, so the caller may close ``fd``.
+
+    Raises
+    ------
+    ValueError
+        When the segment does not carry the expected magic.
+    """
+    seg = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    if seg[: len(MAGIC)] != MAGIC:
         seg.close()
-        raise ValueError(f"shared segment {name!r} lacks the {MAGIC!r} magic")
-    meta_offset, meta_len, total = _HEADER.unpack_from(buf, len(MAGIC))
-    meta: Dict[str, Any] = pickle.loads(
-        bytes(buf[meta_offset : meta_offset + meta_len])
-    )
+        raise ValueError(f"shared segment lacks the {MAGIC!r} magic")
+    meta_offset, meta_len, total = _HEADER.unpack_from(seg, len(MAGIC))
+    meta: Dict[str, Any] = pickle.loads(seg[meta_offset : meta_offset + meta_len])
     sections: Dict[str, Tuple[int, int, str]] = meta["sections"]
     views: List[memoryview] = []
 
     def section(sec_name: str) -> memoryview:
         off, length, code = sections[sec_name]
-        view = memoryview(buf)[off : off + length].cast(code)
+        view = memoryview(seg)[off : off + length].cast(code)
         views.append(view)
         return view
 

@@ -17,7 +17,9 @@ Three layers of contract:
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import signal
 import socket
 import struct
 import subprocess
@@ -33,6 +35,7 @@ from repro.analysis import verify_oracle
 from repro.graphs import erdos_renyi_graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.harness.loadgen import run_closed_level
+from repro.io import write_json
 from repro.oracle import build_oracle
 from repro.serve import (
     ConnectionClosed,
@@ -212,8 +215,6 @@ class TestShm:
             import pickle
             import sys
 
-            from multiprocessing import resource_tracker
-
             from repro.serve import attach_oracle
 
 
@@ -232,13 +233,6 @@ class TestShm:
                 handle = attach_oracle(source)
                 oracle = handle.oracle
                 payload = handle.payload_bytes
-                # this probe owns its resource tracker (it is not a
-                # multiprocessing child); pre-3.13 attach registered the
-                # segment there, and exiting would unlink it from under
-                # the publisher — hand the registration back first
-                resource_tracker.unregister(
-                    "/" + source.lstrip("/"), "shared_memory"
-                )
             else:
                 with open(source, "rb") as fh:
                     oracle = pickle.loads(fh.read())
@@ -470,6 +464,117 @@ class TestLifecycle:
         thread.join(timeout=30)
         server.close()
         server.close()
+
+
+# ---------------------------------------------------------------------------
+# the `repro serve` process: signals, crash safety, topology
+# ---------------------------------------------------------------------------
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return sorted(int(k) for k in fh.read().split())
+
+
+def _cmdline(pid):
+    with open(f"/proc/{pid}/cmdline", "rb") as fh:
+        return fh.read().replace(b"\0", b" ").decode()
+
+
+def _gone(pids, timeout=10.0):
+    """Whether every pid has exited (zombies count as exited)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        alive = []
+        for pid in pids:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                continue
+            if state != "Z":
+                alive.append(pid)
+        if not alive:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestServeProcess:
+    """``repro serve`` as a supervisor sees it: a parent and its workers."""
+
+    @pytest.fixture()
+    def launch(self, tmp_path):
+        structure = tmp_path / "structure.json"
+        write_json(GRAPH, structure)
+        procs = []
+
+        def start(workers):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve",
+                 "--structure", str(structure), "--workers", str(workers),
+                 "--landmarks", "4", "--port", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO_SRC),
+                     "PYTHONUNBUFFERED": "1"},
+                start_new_session=True,
+            )
+            procs.append(proc)
+            lines = []
+            for line in proc.stdout:
+                lines.append(line)
+                if line.startswith("READY "):
+                    fields = dict(
+                        p.split("=", 1) for p in line.split()[1:] if "=" in p
+                    )
+                    return proc, address_of(fields["address"])
+            raise AssertionError("daemon exited before READY:\n" + "".join(lines))
+
+        yield start
+        for proc in procs:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except OSError:
+                pass
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+    def test_sigterm_right_after_ready_exits_cleanly(self, launch):
+        shm_before = set(os.listdir("/dev/shm"))
+        proc, _ = launch(workers=1)
+        proc.send_signal(signal.SIGTERM)
+        rest = proc.stdout.read()
+        assert proc.wait(timeout=30) == 0, rest
+        assert "daemon stopped" in rest
+        assert set(os.listdir("/dev/shm")) == shm_before
+
+    def test_sigkill_of_the_whole_group_leaves_no_segment(self, launch):
+        shm_before = set(os.listdir("/dev/shm"))
+        proc, _ = launch(workers=2)
+        group = [proc.pid, *_children(proc.pid)]
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        assert _gone(group)
+        assert set(os.listdir("/dev/shm")) == shm_before
+
+    def test_process_group_is_parent_plus_workers(self, launch):
+        proc, address = launch(workers=2)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        assert not any("resource_tracker" in _cmdline(pid) for pid in workers)
+        with ServeClient.open(address) as c:
+            c.crash_worker(worker=0)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                snap = c.stats()["snapshot"]
+                if snap.get("serve.workers.respawned", {"value": 0})["value"]:
+                    break
+                time.sleep(0.1)
+            assert c.query("0", "1") == pytest.approx(
+                ORACLE.query(0, 1), abs=1e-9
+            )
+        respawned = _children(proc.pid)
+        assert len(respawned) == 2
+        assert respawned != workers
+        assert not any("resource_tracker" in _cmdline(pid) for pid in respawned)
 
 
 # ---------------------------------------------------------------------------
