@@ -3,14 +3,14 @@
 
 Builds a Baswana–Sen 3-spanner, preprocesses it into a
 :class:`~repro.oracle.DistanceOracle`, and publishes it once through
-:class:`~repro.serve.Server` — two worker processes attach zero-copy
+:class:`~repro.serve.Server` — two forked worker processes map zero-copy
 views of the same frozen CSR + landmark potentials (one payload, not
 one pickled oracle per worker). A :class:`~repro.serve.ServeClient`
 exercises the frame protocol (queries, batch, k-nearest, typed errors,
 merged worker metrics), then the load generator measures a small
 qps-vs-concurrency curve closed-loop and replays a seeded Poisson
 schedule open-loop — the same drivers behind ``repro loadgen`` and the
-committed ``benchmarks/BENCH_serve_speedup.json`` curve.
+live throughput test in ``tests/test_serve.py``.
 
 Run:  python examples/serve_loadgen.py
 """

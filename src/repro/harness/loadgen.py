@@ -42,14 +42,14 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.harness.profiles import Profile
 from repro.serve import (
     Address,
-    ConnectionClosed,
     ProtocolError,
     ServeClient,
     address_of,
@@ -190,6 +190,9 @@ class LevelResult:
     qps: float
     offered_rate: Optional[float] = None  # open loop only
     digest: Optional[str] = None  # open loop: schedule sha256
+    #: failures by typed protocol code (``connection`` for a failed
+    #: connect or socket error outside a request)
+    errors: Dict[str, int] = field(default_factory=dict)
 
     @property
     def failure_rate(self) -> float:
@@ -219,6 +222,8 @@ class LevelResult:
             out["offered_rate"] = self.offered_rate
         if self.digest is not None:
             out["schedule_sha256"] = self.digest
+        if self.errors:
+            out["errors"] = dict(sorted(self.errors.items()))
         return out
 
 
@@ -233,6 +238,31 @@ def _percentiles(latencies_s: List[float]) -> Tuple[float, float, float]:
         return ordered[min(count - 1, int(p * count))] * 1000.0
 
     return pct(0.50), pct(0.99), pct(0.999)
+
+
+def _count_failure(
+    exc: Exception,
+    errors: "Counter[str]",
+    client: ServeClient,
+    address: Address,
+    timeout: float,
+) -> ServeClient:
+    """Count one failed request under its code; returns the client to
+    go on with — a new connection when the old one is unusable (its
+    worker died, or the socket failed)."""
+    code = exc.code if isinstance(exc, ProtocolError) else "connection"
+    errors[code] += 1
+    if code not in ("worker_crashed", "connection"):
+        return client
+    client.close()
+    return ServeClient.open(address, timeout=timeout)
+
+
+def _tally(per_client: List["Counter[str]"]) -> Dict[str, int]:
+    total: "Counter[str]" = Counter()
+    for errors in per_client:
+        total.update(errors)
+    return dict(total)
 
 
 def run_closed_level(
@@ -255,7 +285,7 @@ def run_closed_level(
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     latencies: List[List[float]] = [[] for _ in range(concurrency)]
     answers: List[List[Tuple[str, str, float]]] = [[] for _ in range(concurrency)]
-    failures = [0] * concurrency
+    errors: List["Counter[str]"] = [Counter() for _ in range(concurrency)]
     clock = time.perf_counter
 
     def drive(slot: int) -> None:
@@ -268,13 +298,10 @@ def run_closed_level(
                     t0 = clock()
                     try:
                         d = client.query(u, v)
-                    except ProtocolError:
-                        failures[slot] += 1
-                        continue
-                    except (ConnectionClosed, OSError):
-                        failures[slot] += 1
-                        client.close()
-                        client = ServeClient.open(address, timeout=timeout)
+                    except (ProtocolError, OSError) as exc:
+                        client = _count_failure(
+                            exc, errors[slot], client, address, timeout
+                        )
                         continue
                     latencies[slot].append(clock() - t0)
                     if collect_answers:
@@ -295,16 +322,18 @@ def run_closed_level(
     wall = clock() - t_start
     flat = [lat for per in latencies for lat in per]
     p50, p99, p999 = _percentiles(flat)
+    tally = _tally(errors)
     result = LevelResult(
         mode="closed",
         level=float(concurrency),
         requests=len(pairs) * repeats,
-        failures=sum(failures),
+        failures=sum(tally.values()),
         duration_s=wall,
         p50_ms=p50,
         p99_ms=p99,
         p999_ms=p999,
         qps=len(flat) / wall if wall > 0 else 0.0,
+        errors=tally,
     )
     return result, [a for per in answers for a in per]
 
@@ -329,7 +358,7 @@ def run_open_level(
         raise ValueError("empty schedule")
     work: "queue.Queue[Optional[ScheduleEntry]]" = queue.Queue()
     latencies: List[List[float]] = [[] for _ in range(clients)]
-    failures = [0] * clients
+    errors: List["Counter[str]"] = [Counter() for _ in range(clients)]
     clock = time.perf_counter
     t0 = clock()
 
@@ -344,13 +373,10 @@ def run_open_level(
                 sched_t, u, v = item
                 try:
                     client.query(u, v)
-                except ProtocolError:
-                    failures[slot] += 1
-                    continue
-                except (ConnectionClosed, OSError):
-                    failures[slot] += 1
-                    client.close()
-                    client = ServeClient.open(address, timeout=timeout)
+                except (ProtocolError, OSError) as exc:
+                    client = _count_failure(
+                        exc, errors[slot], client, address, timeout
+                    )
                     continue
                 latencies[slot].append(clock() - (t0 + sched_t))
         finally:
@@ -375,13 +401,14 @@ def run_open_level(
     wall = clock() - t0
     flat = [lat for per in latencies for lat in per]
     p50, p99, p999 = _percentiles(flat)
+    tally = _tally(errors)
     horizon = schedule[-1][0]
     offered = len(schedule) / horizon if horizon > 0 else 0.0
     return LevelResult(
         mode="open",
         level=round(offered),
         requests=len(schedule),
-        failures=sum(failures),
+        failures=sum(tally.values()),
         duration_s=wall,
         p50_ms=p50,
         p99_ms=p99,
@@ -389,6 +416,7 @@ def run_open_level(
         qps=len(flat) / wall if wall > 0 else 0.0,
         offered_rate=offered,
         digest=schedule_digest(schedule),
+        errors=tally,
     )
 
 

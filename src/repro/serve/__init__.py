@@ -2,7 +2,7 @@
 
 The serving layer's concurrent half: :mod:`repro.serve.shm` publishes a
 built :class:`~repro.oracle.oracle.DistanceOracle` into one
-``/dev/shm`` segment, :mod:`repro.serve.daemon` runs N worker
+``/dev/shm`` segment, :mod:`repro.serve.daemon` forks N worker
 processes over it behind a length-prefixed socket protocol
 (:mod:`repro.serve.protocol`), and :mod:`repro.serve.client` is the
 blocking client the load generator multiplies.  See the DESIGN.md
@@ -11,7 +11,7 @@ the failure semantics.
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.daemon import DEFAULT_WORKERS, Server, worker_main
+from repro.serve.daemon import DEFAULT_WORKERS, Server
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME,
     ERROR_CODES,
@@ -43,5 +43,4 @@ __all__ = [
     "address_of",
     "attach_oracle",
     "publish_oracle",
-    "worker_main",
 ]

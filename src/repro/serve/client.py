@@ -6,8 +6,10 @@ the unit the load generator multiplies — concurrency comes from many
 clients, not from pipelining one.  Errors surface as
 :class:`~repro.serve.protocol.ProtocolError` carrying the daemon's
 typed code, so callers can distinguish a crashed worker
-(``worker_crashed``, retryable) from a bad query (``bad_request``,
-not).
+(``worker_crashed``, retryable on a new connection) from a bad query
+(``bad_request``, not).  ``worker_crashed`` is raised here: the worker
+that held the connection died, so the connection ended in the middle
+of the request.
 """
 
 from __future__ import annotations
@@ -71,16 +73,21 @@ class ServeClient:
         Raises
         ------
         ProtocolError
-            With the daemon's typed code on any served error.
-        ConnectionClosed
-            When the daemon closes the connection.
+            With the daemon's typed code on any served error, and
+            ``worker_crashed`` when the connection ends (EOF or reset)
+            before the answer arrives; open a new client to retry.
         """
         payload: Dict[str, Any] = {"op": op}
         payload.update(args)
-        protocol.write_frame(self._sock, payload, max_frame=self._max_frame)
-        return protocol.result_of(
-            protocol.read_frame(self._sock, max_frame=self._max_frame)
-        )
+        try:
+            protocol.write_frame(self._sock, payload, max_frame=self._max_frame)
+            response = protocol.read_frame(self._sock, max_frame=self._max_frame)
+        except (protocol.ConnectionClosed, ConnectionError):
+            raise protocol.ProtocolError(
+                "worker_crashed",
+                f"the connection ended before the {op!r} answer arrived",
+            ) from None
+        return protocol.result_of(response)
 
     # -- typed convenience wrappers ------------------------------------
     def ping(self) -> bool:

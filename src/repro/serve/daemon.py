@@ -1,285 +1,622 @@
-"""Multi-worker oracle serving daemon over one shared-memory segment.
+"""Pre-fork oracle serving daemon over one shared-memory segment.
 
-Architecture — one parent event loop, N compute workers::
+Architecture — a supervisor and N forked workers that own their clients::
 
-    clients ── TCP / unix socket ──▶ parent (selectors loop)
-                                        │  per-worker socketpair
+    clients ── TCP / unix socket ──▶ listener (bound once, before fork)
+                                        │ accepted by any free worker
                                         ▼
-                       worker 0 … worker N-1  (plain interpreters)
-                                        ▲
-                one shared segment ─────┘  (repro.serve.shm, by fd)
+    one shared segment ──▶ worker 0 … worker N-1  (forks of the supervisor)
+    (repro.serve.shm, by fd)            │ one control socketpair each
+                                        ▼
+                 supervisor: spawn, reap, respawn, stats fan-out,
+                             crash_worker, shutdown
 
-The daemon's processes are exactly the parent and its N workers.  Each
-worker is a ``subprocess.Popen`` interpreter that imports only the
-serving path; it inherits two descriptors — the oracle segment, whose
-``/dev/shm`` name the parent has already removed, and its end of a
-``socket.socketpair()`` that both sides wrap in
-:class:`multiprocessing.connection.Connection` for pickled messages.
+:meth:`Server.start` publishes the oracle, binds the listener and forks
+each worker after :func:`gc.freeze`, so no collector pass in a child
+writes to the pages it shares with the supervisor.  A child points
+every inherited descriptor except stdio, the listener, its own control
+end and the segment at ``/dev/null``, restores the default SIGTERM and
+SIGINT actions, maps the segment zero-copy and runs its own
+``selectors`` loop — accept, read, parse, compute, encode, flush.  It
+answers ``ping``, ``info``, ``vertices``, ``query``, ``query_many`` and
+``k_nearest`` itself, forwards ``stats``, ``crash_worker`` and
+``shutdown`` to the supervisor, and leaves through :func:`os._exit` on
+every path.
 
-The parent owns every client connection and never computes a distance;
-workers never touch a client socket.  That split is what makes crash
-isolation *answerable*: when a worker dies, its socket reads EOF in the
-same selector that watches the clients, and the parent still holds the
-client connections of the requests that died with it, answers each
-with a typed ``worker_crashed`` error, and respawns the worker over
-the same segment descriptor — the daemon as a whole never hangs and
-never drops a connection because of a worker failure.
+The supervisor never touches a client.  A worker's death is EOF on its
+control socket: the supervisor reaps it, counts it
+(``serve.workers.crashed``) and forks a replacement over the same
+listener and segment (``.respawned``).  ``stats`` collects every live
+worker's :class:`~repro.obs.metrics.MetricsRegistry` snapshot and cache
+info and folds them into the supervisor's registry through the
+``snapshot()/merge()`` contract.  Neither side blocks on a control
+socket: writes are buffered and flushed when the socket is writable.
 
-Requests are dispatched to the live worker with the fewest outstanding
-requests; ``stats`` fans out to every worker and folds the per-worker
-:class:`~repro.obs.metrics.MetricsRegistry` snapshots into the parent's
-registry via the existing ``snapshot()/merge()`` contract, so the
-merged counters equal a single-worker run's exactly.
+A worker's loop never blocks either.  A client whose write buffer
+passes :data:`MAX_CLIENT_WBUF` bytes, or which holds
+:data:`MAX_CLIENT_INFLIGHT` unanswered requests, is not read until it
+drains, and frames read beyond that cap are answered ``overloaded``.
+Clients are served in turn, :data:`FRAMES_PER_TURN` frames each.  Each
+worker keeps per-stage latency histograms
+``serve.stage.{read,parse,compute,encode,flush}`` and the gauges
+``serve.clients.open`` and ``serve.requests.inflight``.
 
 Robustness contract (regression-tested): malformed frames are answered
 ``malformed_frame`` on a connection that stays usable; an oversized
 length prefix is answered ``oversized_frame`` and the connection is
-closed (the stream position is unrecoverable); a client that
-disconnects mid-request is dropped with a metrics counter and the
-worker's eventual answer is discarded — no traceback ever reaches
-stderr, no worker is ever left stuck.
+closed; a client that half-closes still gets its answers; a dying
+worker takes only its own connections (the client library reports the
+EOF as ``worker_crashed``); a supervisor killed outright leaves every
+worker reading EOF, so they exit.  No traceback reaches the wire.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
 import random
 import selectors
 import signal
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
-from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Set
+import traceback
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.oracle import DistanceOracle
 from repro.serve import protocol
-from repro.serve.protocol import Address
+from repro.serve.protocol import Address, ProtocolError
 from repro.serve.shm import OracleShare, attach_fd, publish_oracle
 
 DEFAULT_WORKERS = 2
 DEFAULT_HOST = "127.0.0.1"
 #: how long start() waits for every worker's ready message
 DEFAULT_READY_TIMEOUT = 60.0
+#: a client with more unsent answer bytes than this is neither read nor
+#: served until its buffer drains below it
+MAX_CLIENT_WBUF = 1 << 20
+#: parsed requests a client may have waiting for an answer; frames read
+#: beyond it are answered ``overloaded``
+MAX_CLIENT_INFLIGHT = 64
+#: frames answered for one client before the next client's turn
+FRAMES_PER_TURN = 8
+#: how long a ``stats`` fan-out waits for a worker that does not answer
+STATS_TIMEOUT = 5.0
+#: how long a stopping worker keeps flushing its answers
+DRAIN_TIMEOUT = 1.0
 
 _LEN = struct.Struct("!I")
-
-#: the ``src`` directory this module was loaded from; a worker puts it
-#: first on ``sys.path`` so it runs the parent's code
-_SRC_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
-#: a worker interpreter's whole program; argv is the src root, then the
-#: worker id, segment fd, socket fd and warm count
-_WORKER_BOOT = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from repro.serve.daemon import worker_main; "
-    "worker_main(*map(int, sys.argv[2:]))"
-)
+_RECV = 65536
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_COMPUTE_OPS = frozenset(("query", "query_many", "k_nearest"))
+_SUPERVISOR_OPS = frozenset(("stats", "crash_worker"))
+_STAGES = ("read", "parse", "compute", "encode", "flush")
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _execute(
-    op: str,
-    args: Dict[str, Any],
-    oracle: DistanceOracle,
-    by_name: Dict[str, Any],
-    registry: MetricsRegistry,
-    worker_id: int,
-) -> Dict[str, Any]:
-    """Run one dispatched op; always returns a response envelope."""
+class _Channel:
+    """Pickled messages over one end of a control socketpair.
 
-    def resolve(label: Any, field: str) -> Any:
-        if not isinstance(label, str):
-            raise protocol.ProtocolError(
-                "bad_request", f"{op} needs a string {field!r} field"
-            )
-        try:
-            return by_name[label]
-        except KeyError:
-            raise protocol.ProtocolError(
-                "unknown_vertex",
-                f"{label!r} is not a vertex of the served structure",
-            ) from None
-
-    try:
-        registry.counter("serve.worker.requests").inc()
-        if op == "query":
-            u = resolve(args.get("u"), "u")
-            v = resolve(args.get("v"), "v")
-            return protocol.ok_response({"distance": oracle.query(u, v)})
-        if op == "query_many":
-            pairs = args.get("pairs")
-            if not isinstance(pairs, list):
-                raise protocol.ProtocolError(
-                    "bad_request", "query_many needs a 'pairs' list of [u, v]"
-                )
-            resolved = []
-            for pair in pairs:
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise protocol.ProtocolError(
-                        "bad_request", f"pair {pair!r} is not a [u, v] pair"
-                    )
-                resolved.append(
-                    (resolve(pair[0], "pairs[0]"), resolve(pair[1], "pairs[1]"))
-                )
-            return protocol.ok_response(
-                {"distances": oracle.query_many(resolved)}
-            )
-        if op == "k_nearest":
-            v = resolve(args.get("v"), "v")
-            k = args.get("k")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise protocol.ProtocolError(
-                    "bad_request", f"k_nearest needs an int k >= 1, got {k!r}"
-                )
-            near = oracle.k_nearest(v, k)
-            return protocol.ok_response(
-                {"nearest": [[str(u), d] for u, d in near]}
-            )
-        if op == "stats":
-            merged = MetricsRegistry()
-            merged.merge(registry.snapshot())
-            merged.merge(oracle.metrics.snapshot())
-            return protocol.ok_response(
-                {
-                    "worker": worker_id,
-                    "snapshot": merged.snapshot(),
-                    "cache": oracle.cache_info(),
-                }
-            )
-        raise protocol.ProtocolError(
-            "bad_request", f"op {op!r} is not dispatchable to a worker"
-        )
-    except protocol.ProtocolError as exc:
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response(exc.code, exc.message)
-    except ValueError as exc:
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response("bad_request", str(exc))
-    except Exception as exc:  # noqa: BLE001 - the wire gets a typed error
-        registry.counter("serve.worker.errors").inc()
-        return protocol.error_response(
-            "internal", f"{type(exc).__name__}: {exc}"
-        )
-
-
-def worker_main(worker_id: int, shm_fd: int, conn_fd: int, warm: int) -> None:
-    """Entry point of one serving worker (its own interpreter).
-
-    Maps the oracle segment inherited on ``shm_fd`` (zero-copy),
-    optionally warms the scratch arrays and cache with ``warm`` seeded
-    self-queries, reports ready, then answers ``(req_id, op, args)``
-    messages from the parent on the socket ``conn_fd`` until told to
-    exit or the socket closes.  All state is local to the process: a
-    private metrics registry, the label-resolution dict, and the
-    attached oracle — nothing global is written.
+    Non-blocking both ways: :meth:`send` buffers and flushes what the
+    socket takes, :meth:`recv` returns the complete messages readable
+    now, or ``None`` once the peer is gone.
     """
-    # the parent handles SIGINT for the whole process group; a worker
-    # interrupted mid-recv would otherwise die with a KeyboardInterrupt
-    # traceback instead of exiting through the socket protocol
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    conn = Connection(conn_fd)
-    handle = attach_fd(shm_fd)
-    os.close(shm_fd)
-    oracle = handle.oracle
-    assert oracle is not None
-    registry = MetricsRegistry()
-    by_name = {str(v): v for v in oracle.csr.verts}
-    if warm > 0:
-        rng = random.Random(oracle.seed * 1_000_003 + worker_id)
-        verts = oracle.csr.verts
-        for _ in range(warm):
-            u = verts[rng.randrange(len(verts))]
-            v = verts[rng.randrange(len(verts))]
-            oracle.query(u, v)
-    conn.send((-1, {"ready": worker_id, "pid": os.getpid()}))
-    try:
+
+    __slots__ = ("sock", "rbuf", "wbuf")
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        self.rbuf = bytearray()
+        self.wbuf = bytearray()
+
+    def send(self, message: Tuple[Any, ...]) -> None:
+        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        self.wbuf += _LEN.pack(len(body)) + body
+        self.flush()
+
+    def flush(self) -> None:
+        while self.wbuf:
+            try:
+                sent = self.sock.send(self.wbuf)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # the peer is gone; recv() reports it
+                self.wbuf.clear()
+                return
+            del self.wbuf[:sent]
+
+    def recv(self) -> Optional[List[Tuple[Any, ...]]]:
         while True:
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
+                chunk = self.sock.recv(_RECV)
+            except (BlockingIOError, InterruptedError):
                 break
-            req_id, op, args = message
-            if op == "exit":
+            except OSError:
+                return None
+            if not chunk:
+                return None
+            self.rbuf += chunk
+        messages = []
+        rbuf, pos = self.rbuf, 0
+        while len(rbuf) - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(rbuf, pos)
+            end = pos + _LEN.size + length
+            if len(rbuf) < end:
                 break
-            conn.send(
-                (req_id, _execute(op, args, oracle, by_name, registry, worker_id))
-            )
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent vanished
-        pass
-    finally:
-        del oracle, by_name
-        handle.close()
-        conn.close()
+            messages.append(pickle.loads(rbuf[pos + _LEN.size : end]))
+            pos = end
+        del rbuf[:pos]
+        return messages
+
+    def events(self) -> int:
+        return _READ | (_WRITE if self.wbuf else 0)
 
 
 # ----------------------------------------------------------------------
-# Parent side
+# Worker side (runs in a forked child)
 # ----------------------------------------------------------------------
-class _Worker:
-    """Parent-side record of one worker process."""
-
-    __slots__ = ("worker_id", "proc", "conn", "outstanding", "alive")
-
-    def __init__(
-        self, worker_id: int, proc: subprocess.Popen, conn: Connection
-    ) -> None:
-        self.worker_id = worker_id
-        self.proc = proc
-        self.conn = conn
-        self.outstanding: Set[int] = set()
-        self.alive = True
-
-
 class _Client:
-    """Parent-side record of one client connection."""
+    """Worker-side record of one client connection."""
 
-    __slots__ = ("sock", "fd", "rbuf", "wbuf", "closing", "inflight")
+    __slots__ = ("sock", "rbuf", "wbuf", "queue", "eof", "waiting", "events", "ready")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.fd = sock.fileno()
         self.rbuf = bytearray()
         self.wbuf = bytearray()
-        self.closing = False  # close once wbuf drains (oversized frame)
-        self.inflight: Set[int] = set()
+        #: parsed requests, answered in order: ``(op, args)``, or
+        #: ``(None, ProtocolError)`` for a frame answered with that error
+        self.queue: Deque[Tuple[Optional[str], Any]] = deque()
+        self.eof = False  # no more input: peer half-closed, or oversized frame
+        self.waiting: Optional[int] = None  # token of a supervisor answer
+        self.events = 0
+        self.ready = False  # listed in the worker's turn queue
 
 
-class _Request:
-    """One in-flight request: who asked, who is computing it."""
+class _Worker:
+    """One worker's event loop over its own clients."""
 
-    __slots__ = ("req_id", "client_fd", "op", "worker_ids", "parts")
+    def __init__(self, worker_id: int, listener: socket.socket, ctl: _Channel,
+                 oracle: DistanceOracle, max_frame: int, info: Dict[str, Any]) -> None:
+        self.worker_id = worker_id
+        self.listener = listener
+        self.ctl = ctl
+        self.oracle = oracle
+        self.by_name = {str(v): v for v in oracle.csr.verts}
+        self.max_frame = max_frame
+        self.info = info
+        self.registry = MetricsRegistry()
+        self.stage = {s: self.registry.histogram(f"serve.stage.{s}") for s in _STAGES}
+        self.open_gauge = self.registry.gauge("serve.clients.open")
+        self.inflight_gauge = self.registry.gauge("serve.requests.inflight")
+        self.inflight = 0
+        self.clients: Dict[int, _Client] = {}
+        self.turns: Deque[_Client] = deque()
+        self.waiting: Dict[int, _Client] = {}
+        self.next_token = 0
+        self.stopping = False
+        self.sel = selectors.DefaultSelector()
+        listener.setblocking(False)
+        self.sel.register(listener, _READ, None)
+        self.sel.register(ctl.sock, ctl.events(), ctl)
 
-    def __init__(self, req_id: int, client_fd: int, op: str) -> None:
-        self.req_id = req_id
-        self.client_fd = client_fd
-        self.op = op
-        self.worker_ids: Set[int] = set()
-        self.parts: List[Dict[str, Any]] = []
+    def count(self, name: str) -> None:
+        self.registry.counter(name).inc()
+
+    def add_inflight(self, delta: int) -> None:
+        self.inflight += delta
+        self.inflight_gauge.set(self.inflight)
+
+    def observe(self, stage: str, t0: float) -> None:
+        self.stage[stage].observe((time.perf_counter() - t0) * 1e3)
+
+    # -- loop ------------------------------------------------------------
+    def run(self) -> None:
+        while not self.stopping:
+            for key, mask in self.sel.select(0 if self.turns else None):
+                client = key.data
+                if client is None:
+                    self.accept()
+                elif client is self.ctl:
+                    self.control(mask)
+                else:
+                    if mask & _WRITE:
+                        self.flush(client)
+                    if mask & _READ and client.events:
+                        self.read(client)
+            for _ in range(len(self.turns)):
+                client = self.turns.popleft()
+                client.ready = False
+                self.serve(client)
+        self.drain()
+
+    def accept(self) -> None:
+        try:
+            sock, _addr = self.listener.accept()
+        except OSError:  # another worker took it
+            return
+        sock.setblocking(False)
+        client = _Client(sock)
+        self.clients[sock.fileno()] = client
+        self.count("serve.clients.accepted")
+        self.open_gauge.set(len(self.clients))
+        self.sync(client)
+
+    def sync(self, client: _Client) -> None:
+        """Match the client's selector interest and turn to its state;
+        close it once it has nothing left to read, answer or send."""
+        busy = client.queue or client.waiting is not None or client.wbuf
+        if client.eof and not busy:
+            self.drop(client, midrequest=False)
+            return
+        room = len(client.wbuf) <= MAX_CLIENT_WBUF
+        want = _WRITE if client.wbuf else 0
+        if not client.eof and room and len(client.queue) < MAX_CLIENT_INFLIGHT:
+            want |= _READ
+        if want != client.events:
+            if not client.events:
+                self.sel.register(client.sock, want, client)
+            elif not want:
+                self.sel.unregister(client.sock)
+            else:
+                self.sel.modify(client.sock, want, client)
+            client.events = want
+        if room and client.queue and client.waiting is None and not client.ready:
+            client.ready = True
+            self.turns.append(client)
+
+    def drop(self, client: _Client, midrequest: bool) -> None:
+        if self.clients.pop(client.sock.fileno(), None) is None:
+            return
+        pending = len(client.queue) + (client.waiting is not None)
+        if midrequest and pending:
+            self.count("serve.clients.disconnect_midrequest")
+        if client.waiting is not None:
+            del self.waiting[client.waiting]
+        self.add_inflight(-pending)
+        # a dropped client has nothing left: a later turn finds it done
+        client.eof, client.waiting = True, None
+        client.queue.clear()
+        client.wbuf.clear()
+        if client.events:
+            self.sel.unregister(client.sock)
+            client.events = 0
+        client.sock.close()
+        self.count("serve.clients.closed")
+        self.open_gauge.set(len(self.clients))
+
+    # -- input -----------------------------------------------------------
+    def read(self, client: _Client) -> None:
+        t0 = time.perf_counter()
+        try:
+            data = client.sock.recv(_RECV)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self.drop(client, midrequest=True)
+            return
+        self.observe("read", t0)
+        if data:
+            client.rbuf += data
+            self.parse(client)
+        else:
+            client.eof = True
+            client.rbuf.clear()
+        self.serve(client)
+
+    def parse(self, client: _Client) -> None:
+        """Queue every complete frame of the read buffer, in order."""
+        rbuf, pos, added = client.rbuf, 0, 0
+        while len(rbuf) - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(rbuf, pos)
+            item: Tuple[Optional[str], Any]
+            if length > self.max_frame:
+                item = (None, ProtocolError(
+                    "oversized_frame",
+                    f"frame of {length} bytes exceeds the {self.max_frame}-byte limit",
+                ))
+                client.eof = True  # the stream position is unrecoverable
+                pos = len(rbuf)
+            elif len(rbuf) < pos + _LEN.size + length:
+                break
+            else:
+                t0 = time.perf_counter()
+                body = bytes(rbuf[pos + _LEN.size : pos + _LEN.size + length])
+                pos += _LEN.size + length
+                try:
+                    item = protocol.parse_request(protocol.decode_body(body))
+                    self.count("serve.requests.total")
+                except ProtocolError as exc:
+                    item = (None, exc)
+                self.observe("parse", t0)
+                if len(client.queue) >= MAX_CLIENT_INFLIGHT:
+                    item = (None, ProtocolError(
+                        "overloaded",
+                        f"more than {MAX_CLIENT_INFLIGHT} requests in flight "
+                        "on this connection",
+                    ))
+            client.queue.append(item)
+            added += 1
+        del rbuf[:pos]
+        self.add_inflight(added)
+
+    # -- answers -----------------------------------------------------------
+    def serve(self, client: _Client) -> None:
+        """One turn: answer up to :data:`FRAMES_PER_TURN` queued frames
+        (``stats``/``crash_worker`` go to the supervisor), then flush."""
+        for _ in range(FRAMES_PER_TURN):
+            if not client.queue or client.waiting is not None:
+                break
+            if len(client.wbuf) > MAX_CLIENT_WBUF:
+                break
+            op, args = client.queue.popleft()
+            if op in _SUPERVISOR_OPS and not self.stopping:
+                self.next_token += 1
+                client.waiting = self.next_token
+                self.waiting[self.next_token] = client
+                self.ctl.send((op, self.next_token, args))
+                self.watch_ctl()
+            else:
+                self.add_inflight(-1)
+                self.reply(client, self.answer(op, args))
+        self.flush(client)
+
+    def answer(self, op: Optional[str], args: Any) -> Dict[str, Any]:
+        """The envelope answering one queued frame (never raises)."""
+        t0 = time.perf_counter()
+        compute = op in _COMPUTE_OPS
+        if op is None:
+            envelope = protocol.error_response(args.code, args.message)
+        elif self.stopping:
+            envelope = protocol.error_response("shutting_down", "the daemon is shutting down")
+        else:
+            if compute:
+                self.count("serve.worker.requests")
+            try:
+                envelope = protocol.ok_response(self.result(op, args))
+            except ProtocolError as exc:
+                envelope = protocol.error_response(exc.code, exc.message)
+            except ValueError as exc:
+                envelope = protocol.error_response("bad_request", str(exc))
+            except Exception as exc:  # noqa: BLE001 - the wire gets a typed error
+                envelope = protocol.error_response("internal", f"{type(exc).__name__}: {exc}")
+            if compute and envelope["ok"] is not True:
+                self.count("serve.worker.errors")
+        self.observe("compute", t0)
+        return envelope
+
+    def reply(self, client: _Client, envelope: Dict[str, Any]) -> None:
+        if envelope.get("ok") is not True:
+            self.count(f"serve.errors.{envelope['error']['code']}")
+        t0 = time.perf_counter()
+        try:
+            frame = protocol.encode_frame(envelope, max_frame=self.max_frame)
+        except ProtocolError:
+            # the *response* outgrew the frame limit (huge query_many):
+            # degrade to a typed error that always fits
+            self.count("serve.errors.oversized_frame")
+            frame = protocol.encode_frame(protocol.error_response(
+                "oversized_frame", f"response exceeds the {self.max_frame}-byte frame limit"
+            ))
+        self.observe("encode", t0)
+        client.wbuf += frame
+
+    def flush(self, client: _Client) -> None:
+        if client.wbuf:
+            t0 = time.perf_counter()
+            try:
+                sent = client.sock.send(client.wbuf)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self.drop(client, midrequest=True)
+                return
+            self.observe("flush", t0)
+            del client.wbuf[:sent]
+        self.sync(client)
+
+    def resolve(self, op: str, label: Any, field: str) -> Any:
+        if not isinstance(label, str):
+            raise ProtocolError("bad_request", f"{op} needs a string {field!r} field")
+        try:
+            return self.by_name[label]
+        except KeyError:
+            raise ProtocolError(
+                "unknown_vertex", f"{label!r} is not a vertex of the served structure"
+            ) from None
+
+    def result(self, op: str, args: Dict[str, Any]) -> Any:
+        oracle = self.oracle
+        if op == "query":
+            u = self.resolve(op, args.get("u"), "u")
+            return {"distance": oracle.query(u, self.resolve(op, args.get("v"), "v"))}
+        if op == "query_many":
+            pairs = args.get("pairs")
+            if not isinstance(pairs, list):
+                raise ProtocolError("bad_request", "query_many needs a 'pairs' list of [u, v]")
+            resolved = []
+            for pair in pairs:
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                    raise ProtocolError("bad_request", f"pair {pair!r} is not a [u, v] pair")
+                resolved.append((
+                    self.resolve(op, pair[0], "pairs[0]"),
+                    self.resolve(op, pair[1], "pairs[1]"),
+                ))
+            return {"distances": oracle.query_many(resolved)}
+        if op == "k_nearest":
+            v = self.resolve(op, args.get("v"), "v")
+            k = args.get("k")
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise ProtocolError("bad_request", f"k_nearest needs an int k >= 1, got {k!r}")
+            return {"nearest": [[str(u), d] for u, d in oracle.k_nearest(v, k)]}
+        if op == "ping":
+            return {"pong": True}
+        if op == "info":
+            info = dict(self.info)
+            info["uptime_s"] = time.monotonic() - info.pop("started_at")
+            return info
+        if op == "vertices":
+            limit, offset = args.get("limit", 100), args.get("offset", 0)
+            if not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 0
+                for x in (limit, offset)
+            ):
+                raise ProtocolError(
+                    "bad_request", "vertices needs non-negative int 'limit'/'offset'"
+                )
+            verts = oracle.csr.verts
+            return {"n": len(verts), "vertices": [str(v) for v in verts[offset : offset + limit]]}
+        if op == "shutdown":
+            self.ctl.send(("shutdown",))
+            self.watch_ctl()
+            return {"stopping": True}
+        raise ProtocolError("bad_request", f"op {op!r} is not served here")
+
+    # -- the control socket ------------------------------------------------
+    def watch_ctl(self) -> None:
+        self.sel.modify(self.ctl.sock, self.ctl.events(), self.ctl)
+
+    def control(self, mask: int) -> None:
+        if mask & _WRITE:
+            self.ctl.flush()
+        messages = self.ctl.recv() if mask & _READ else []
+        if messages is None:  # the supervisor closed its end, or died
+            self.stopping = True
+            return
+        for message in messages:
+            if message[0] == "part":
+                self.count("serve.worker.requests")
+                merged = MetricsRegistry()
+                merged.merge(self.registry.snapshot())
+                merged.merge(self.oracle.metrics.snapshot())
+                self.ctl.send(("part", message[1], {
+                    "worker": self.worker_id,
+                    "snapshot": merged.snapshot(),
+                    "cache": self.oracle.cache_info(),
+                }))
+            elif message[0] == "answer":
+                client = self.waiting.pop(message[1], None)
+                if client is not None:
+                    client.waiting = None
+                    self.add_inflight(-1)
+                    self.reply(client, message[2])
+                    self.flush(client)
+        self.watch_ctl()
+
+    def drain(self) -> None:
+        """Stop: answer everything held ``shutting_down``, flush for up
+        to :data:`DRAIN_TIMEOUT`."""
+        self.sel.unregister(self.listener)
+        self.sel.unregister(self.ctl.sock)
+        self.listener.close()
+        for client in list(self.clients.values()):
+            if client.waiting is not None:
+                client.waiting = None
+                client.queue.appendleft((None, ProtocolError(
+                    "shutting_down", "the daemon is shutting down"
+                )))
+            client.eof = True
+            while client.queue:
+                self.reply(client, self.answer(*client.queue.popleft()))
+            self.flush(client)
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while self.clients and time.monotonic() < deadline:
+            for key, _mask in self.sel.select(deadline - time.monotonic()):
+                self.flush(key.data)
+
+
+def _worker_child(worker_id: int, listener: socket.socket, ctl_sock: socket.socket,
+                  shm_fd: int, warm: int, max_frame: int, info: Dict[str, Any]) -> None:
+    """Body of a freshly forked worker; never returns."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        _replace_inherited_fds(keep={listener.fileno(), ctl_sock.fileno(), shm_fd})
+        handle = attach_fd(shm_fd)
+        oracle = handle.oracle
+        assert oracle is not None
+        if warm > 0:
+            rng = random.Random(oracle.seed * 1_000_003 + worker_id)
+            verts = oracle.csr.verts
+            for _ in range(warm):
+                oracle.query(verts[rng.randrange(len(verts))],
+                             verts[rng.randrange(len(verts))])
+        ctl = _Channel(ctl_sock)
+        worker = _Worker(worker_id, listener, ctl, oracle, max_frame, info)
+        ctl.send(("ready", worker_id, os.getpid()))
+        worker.watch_ctl()
+        worker.run()
+        code = 0
+    except Exception:  # noqa: BLE001 - the worker's boundary: report, then exit
+        # a raw write: another thread of the forking process may have
+        # held sys.stderr's lock at the fork, and no thread will free it
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _replace_inherited_fds(keep: Set[int]) -> None:
+    """Point every inherited descriptor above stdio that is not in
+    ``keep`` at ``/dev/null``, and stdin too.
+
+    The underlying sockets and pipes are released — a sibling's control
+    end in particular, or the supervisor's death would never read as
+    EOF — while the numbers stay taken, so a stale Python object that
+    closes its descriptor later cannot close one this worker opened.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    for name in sorted(os.listdir("/proc/self/fd")):
+        fd = int(name)
+        if (fd == 0 or fd > 2) and fd not in keep and fd != null:
+            os.dup2(null, fd, inheritable=False)
+    os.close(null)
+
+
+# ----------------------------------------------------------------------
+# Supervisor side
+# ----------------------------------------------------------------------
+@dataclass
+class _Proc:
+    """Supervisor-side record of one worker process."""
+
+    worker_id: int
+    pid: int
+    chan: _Channel
+    ready: bool = False
+
+
+@dataclass
+class _Gather:
+    """One ``stats`` fan-out waiting for worker snapshots."""
+
+    requester: int
+    token: int
+    pending: Set[int]
+    parts: List[Dict[str, Any]] = field(default_factory=list)
+    deadline: float = field(default_factory=lambda: time.monotonic() + STATS_TIMEOUT)
 
 
 class Server:
-    """The serving daemon: shared-memory publish + N workers + event loop.
+    """The serving daemon: shared-memory publish + N forked workers.
 
     Build the oracle first (:meth:`DistanceOracle.build`), then::
 
         server = Server(oracle, workers=4, port=0)
-        server.start()            # publish shm, spawn workers, bind
+        server.start()            # publish shm, bind, fork workers
         server.serve_forever()    # blocks; request_shutdown() stops it
 
     ``port=0`` binds an ephemeral TCP port (read it back from
     ``server.address``); ``unix_path`` serves a unix-domain socket
     instead.  :meth:`serve_forever` tears everything down on exit —
-    in-flight requests are answered ``shutting_down``, workers are told
-    to exit and joined (killed if they won't), and the shared segment
-    is unlinked; the teardown runs on the failure path too.
+    workers answer what they hold ``shutting_down`` and exit, they are
+    reaped (killed if they won't go), and the shared segment is
+    unlinked; the teardown runs on the failure path too.
     """
 
     def __init__(
@@ -307,17 +644,17 @@ class Server:
         self.ready_timeout = ready_timeout
         self.metrics = MetricsRegistry()
         self._share: Optional[OracleShare] = None
-        self._workers: Dict[int, _Worker] = {}
-        self._clients: Dict[int, _Client] = {}
-        self._requests: Dict[int, _Request] = {}
-        self._next_req = 0
+        self._procs: Dict[int, _Proc] = {}
+        self._gathers: Dict[int, _Gather] = {}
+        self._next_gather = 0
         self._listener: Optional[socket.socket] = None
         self._sel: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         self._stop = threading.Event()
+        self._serving = False
         self._closed = False
-        self._started_at = 0.0
+        self._info: Dict[str, Any] = {}
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -335,32 +672,41 @@ class Server:
         """Size of the published shared segment (0 before :meth:`start`)."""
         return self._share.payload_bytes if self._share is not None else 0
 
-    def _spawn_worker(self, worker_id: int) -> _Worker:
-        assert self._share is not None
-        shm_fd = self._share.fd
-        parent_sock, child_sock = socket.socketpair()
-        with child_sock:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_BOOT, _SRC_ROOT, str(worker_id),
-                 str(shm_fd), str(child_sock.fileno()), str(self.warm)],
-                stdin=subprocess.DEVNULL,
-                pass_fds=(shm_fd, child_sock.fileno()),
-            )
-        worker = _Worker(worker_id, proc, Connection(parent_sock.detach()))
-        self._workers[worker_id] = worker
-        self.metrics.counter("serve.workers.spawned").inc()
-        if self._sel is not None:
-            self._register_worker(worker)
-        return worker
+    def _bind(self) -> socket.socket:
+        if self.unix_path is not None:
+            try:
+                os.unlink(self.unix_path)
+            except FileNotFoundError:
+                pass
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            listener.bind(self.unix_path)
+        else:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+        listener.listen(128)
+        return listener
 
-    def _register_worker(self, worker: _Worker) -> None:
+    def _spawn(self, worker_id: int) -> None:
+        assert self._share is not None and self._listener is not None
         assert self._sel is not None
-        self._sel.register(
-            worker.conn, selectors.EVENT_READ, ("worker", worker.worker_id)
-        )
+        parent_end, child_end = socket.socketpair()
+        gc.freeze()  # the child's collector never writes to shared pages
+        # the caller may have other threads (a test serving in one); the
+        # child takes no lock one of them may have held at the fork (it
+        # reports a crash on fd 2 directly, not through sys.stderr)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child, out of coverage's sight
+            _worker_child(worker_id, self._listener, child_end, self._share.fd,
+                          self.warm, self.max_frame, self._info)
+        child_end.close()
+        proc = _Proc(worker_id, pid, _Channel(parent_end))
+        self._procs[worker_id] = proc
+        self._sel.register(proc.chan.sock, _READ, proc)
+        self.metrics.counter("serve.workers.spawned").inc()
 
     def start(self) -> None:
-        """Publish the segment, spawn workers, wait ready, bind the socket.
+        """Publish the segment, bind the socket, fork workers, wait ready.
 
         The segment's ``/dev/shm`` name is removed as soon as it is
         written: workers inherit its descriptor, so no crash of any
@@ -369,53 +715,38 @@ class Server:
         Raises
         ------
         RuntimeError
-            When a worker fails to report ready within ``ready_timeout``.
+            When a worker dies or fails to report ready within
+            ``ready_timeout``.
         """
         self._share = publish_oracle(self.oracle)
         self._share.unlink_name()
-        self._started_at = time.monotonic()
         try:
-            for worker_id in range(self.workers):
-                self._spawn_worker(worker_id)
-            deadline = time.monotonic() + self.ready_timeout
-            for worker in self._workers.values():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not worker.conn.poll(remaining):
-                    raise RuntimeError(
-                        f"worker {worker.worker_id} not ready within "
-                        f"{self.ready_timeout:.0f}s"
-                    )
-                try:
-                    tag, info = worker.conn.recv()
-                except (EOFError, OSError):
-                    raise RuntimeError(
-                        f"worker {worker.worker_id} died during startup"
-                    ) from None
-                if tag != -1 or not isinstance(info, dict) or "ready" not in info:
-                    raise RuntimeError(
-                        f"worker {worker.worker_id} sent {info!r} instead of ready"
-                    )
-            if self.unix_path is not None:
-                try:
-                    os.unlink(self.unix_path)
-                except FileNotFoundError:
-                    pass
-                listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                listener.bind(self.unix_path)
-            else:
-                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                listener.bind((self.host, self.port))
-            listener.listen(128)
-            listener.setblocking(False)
-            self._listener = listener
+            self._listener = self._bind()
             self._sel = selectors.DefaultSelector()
-            self._sel.register(listener, selectors.EVENT_READ, ("listener", None))
-            for worker in self._workers.values():
-                self._register_worker(worker)
             self._wake_r, self._wake_w = socket.socketpair()
             self._wake_r.setblocking(False)
-            self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
+            self._sel.register(self._wake_r, _READ, None)
+            oracle = self.oracle
+            self._info = {
+                "n": oracle.csr.n, "m": oracle.csr.m,
+                "landmarks": len(oracle.landmark_indices),
+                "strategy": oracle.strategy, "seed": oracle.seed,
+                "workers": self.workers, "payload_bytes": self._share.payload_bytes,
+                "max_frame": self.max_frame, "pid": os.getpid(),
+                "started_at": time.monotonic(),
+            }
+            for worker_id in range(self.workers):
+                self._spawn(worker_id)
+            deadline = time.monotonic() + self.ready_timeout
+            while not all(p.ready for p in self._procs.values()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    late = min(p.worker_id for p in self._procs.values() if not p.ready)
+                    raise RuntimeError(
+                        f"worker {late} not ready within {self.ready_timeout:.0f}s"
+                    )
+                self._pump(remaining)
+            self._serving = True
         except BaseException:
             self.close()
             raise
@@ -430,502 +761,167 @@ class Server:
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    # -- event loop ----------------------------------------------------
     def serve_forever(self) -> None:
-        """Run until :meth:`request_shutdown` (or a ``shutdown`` op); then
-        tear everything down, failure path included."""
+        """Supervise until :meth:`request_shutdown` (or a ``shutdown``
+        op); then tear everything down, failure path included."""
         if self._sel is None:
             raise RuntimeError("serve_forever() before start()")
         try:
             while not self._stop.is_set():
-                for key, mask in self._sel.select(timeout=0.5):
-                    kind, tag = key.data
-                    if kind == "listener":
-                        self._accept()
-                    elif kind == "wake":
-                        try:
-                            assert self._wake_r is not None
-                            self._wake_r.recv(4096)
-                        except (BlockingIOError, OSError):
-                            pass
-                    elif kind == "client":
-                        if mask & selectors.EVENT_WRITE:
-                            self._client_writable(tag)
-                        if mask & selectors.EVENT_READ:
-                            self._client_readable(tag)
-                    elif kind == "worker":
-                        self._worker_readable(tag)
+                now = time.monotonic()
+                timeout = min(
+                    [0.5] + [g.deadline - now for g in self._gathers.values()]
+                )
+                self._pump(max(0.0, timeout))
+                for gather_id, gather in list(self._gathers.items()):
+                    if gather.deadline <= time.monotonic():
+                        self._finish_gather(gather_id)
         finally:
             self.close()
 
-    # -- clients -------------------------------------------------------
-    def _accept(self) -> None:
-        assert self._listener is not None and self._sel is not None
-        try:
-            sock, _addr = self._listener.accept()
-        except OSError:
-            return
-        sock.setblocking(False)
-        client = _Client(sock)
-        self._clients[client.fd] = client
-        self._sel.register(sock, selectors.EVENT_READ, ("client", client.fd))
-        self.metrics.counter("serve.clients.accepted").inc()
-
-    def _drop_client(self, client: _Client, midrequest: bool) -> None:
+    def _pump(self, timeout: float) -> None:
+        """One round of the supervisor's selector."""
         assert self._sel is not None
-        for req_id in list(client.inflight):
-            request = self._requests.pop(req_id, None)
-            if request is None:
+        for key, mask in self._sel.select(timeout):
+            proc = key.data
+            if proc is None:
+                try:
+                    assert self._wake_r is not None
+                    self._wake_r.recv(4096)
+                except OSError:
+                    pass
                 continue
-            for worker_id in request.worker_ids:
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker.outstanding.discard(req_id)
-        if midrequest and client.inflight:
-            self.metrics.counter("serve.clients.disconnect_midrequest").inc()
-        client.inflight.clear()
-        try:
-            self._sel.unregister(client.sock)
-        except (KeyError, ValueError):
-            pass
-        self._clients.pop(client.fd, None)
-        try:
-            client.sock.close()
-        except OSError:
-            pass
-        self.metrics.counter("serve.clients.closed").inc()
-
-    def _send_to_client(self, client: _Client, payload: Dict[str, Any]) -> None:
-        try:
-            frame = protocol.encode_frame(payload, max_frame=self.max_frame)
-        except protocol.ProtocolError:
-            # the *response* outgrew the frame limit (huge query_many):
-            # degrade to a typed error that always fits
-            self._count_error("oversized_frame")
-            frame = protocol.encode_frame(
-                protocol.error_response(
-                    "oversized_frame",
-                    f"response exceeds the {self.max_frame}-byte frame limit",
-                )
-            )
-        client.wbuf += frame
-        self._flush_client(client)
-
-    def _flush_client(self, client: _Client) -> None:
-        assert self._sel is not None
-        if client.wbuf:
-            try:
-                sent = client.sock.send(client.wbuf)
-                del client.wbuf[:sent]
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError:
-                self._drop_client(client, midrequest=True)
-                return
-        events = selectors.EVENT_READ
-        if client.wbuf:
-            events |= selectors.EVENT_WRITE
-        try:
-            self._sel.modify(client.sock, events, ("client", client.fd))
-        except (KeyError, ValueError):
-            return
-        if client.closing and not client.wbuf:
-            self._drop_client(client, midrequest=False)
-
-    def _client_writable(self, fd: int) -> None:
-        client = self._clients.get(fd)
-        if client is not None:
-            self._flush_client(client)
-
-    def _client_readable(self, fd: int) -> None:
-        client = self._clients.get(fd)
-        if client is None:
-            return
-        try:
-            data = client.sock.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop_client(client, midrequest=True)
-            return
-        if not data:
-            self._drop_client(client, midrequest=bool(client.inflight))
-            return
-        client.rbuf += data
-        self._parse_frames(client)
-
-    def _count_error(self, code: str) -> None:
-        self.metrics.counter(f"serve.errors.{code}").inc()
-
-    def _parse_frames(self, client: _Client) -> None:
-        while not client.closing:
-            if len(client.rbuf) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(client.rbuf)
-            if length > self.max_frame:
-                self._count_error("oversized_frame")
-                client.rbuf.clear()  # stream position is unrecoverable
-                client.closing = True
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "oversized_frame",
-                        f"frame of {length} bytes exceeds the "
-                        f"{self.max_frame}-byte limit",
-                    ),
-                )
-                return
-            if len(client.rbuf) < _LEN.size + length:
-                return
-            body = bytes(client.rbuf[_LEN.size : _LEN.size + length])
-            del client.rbuf[: _LEN.size + length]
-            try:
-                op, args = protocol.parse_request(protocol.decode_body(body))
-            except protocol.ProtocolError as exc:
-                self._count_error(exc.code)
-                self._send_to_client(
-                    client, protocol.error_response(exc.code, exc.message)
-                )
+            if self._procs.get(proc.worker_id) is not proc:
                 continue
-            self.metrics.counter("serve.requests.total").inc()
-            self._handle_request(client, op, args)
+            if mask & _WRITE:
+                proc.chan.flush()
+            messages = proc.chan.recv() if mask & _READ else []
+            if messages is None:
+                self._worker_died(proc)
+                continue
+            for message in messages:
+                self._handle(proc, message)
+            self._watch(proc)
 
-    # -- request handling ----------------------------------------------
-    def _alive_workers(self) -> List[_Worker]:
-        return [w for w in self._workers.values() if w.alive]
+    def _watch(self, proc: _Proc) -> None:
+        if self._procs.get(proc.worker_id) is proc:
+            assert self._sel is not None
+            self._sel.modify(proc.chan.sock, proc.chan.events(), proc)
 
-    def _handle_request(
-        self, client: _Client, op: str, args: Dict[str, Any]
-    ) -> None:
-        if self._stop.is_set():
-            self._count_error("shutting_down")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "shutting_down", "the daemon is shutting down"
-                ),
-            )
-            return
-        if op == "ping":
-            self._send_to_client(
-                client, protocol.ok_response({"pong": True})
-            )
-            return
-        if op == "info":
-            share = self._share
-            self._send_to_client(
-                client,
-                protocol.ok_response(
-                    {
-                        "n": self.oracle.csr.n,
-                        "m": self.oracle.csr.m,
-                        "landmarks": len(self.oracle.landmark_indices),
-                        "strategy": self.oracle.strategy,
-                        "seed": self.oracle.seed,
-                        "workers": len(self._alive_workers()),
-                        "payload_bytes": share.payload_bytes if share else 0,
-                        "max_frame": self.max_frame,
-                        "pid": os.getpid(),
-                        "uptime_s": time.monotonic() - self._started_at,
-                    }
-                ),
-            )
-            return
-        if op == "vertices":
-            limit = args.get("limit", 100)
-            offset = args.get("offset", 0)
-            if (
-                not isinstance(limit, int)
-                or isinstance(limit, bool)
-                or not isinstance(offset, int)
-                or isinstance(offset, bool)
-                or limit < 0
-                or offset < 0
-            ):
-                self._count_error("bad_request")
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "bad_request",
-                        "vertices needs non-negative int 'limit'/'offset'",
-                    ),
-                )
-                return
-            verts = self.oracle.csr.verts
-            self._send_to_client(
-                client,
-                protocol.ok_response(
-                    {
-                        "n": len(verts),
-                        "vertices": [
-                            str(v) for v in verts[offset : offset + limit]
-                        ],
-                    }
-                ),
-            )
-            return
-        if op == "shutdown":
-            self._send_to_client(client, protocol.ok_response({"stopping": True}))
+    def _send(self, proc: _Proc, message: Tuple[Any, ...]) -> None:
+        proc.chan.send(message)
+        self._watch(proc)
+
+    # -- worker messages -----------------------------------------------
+    def _handle(self, proc: _Proc, message: Tuple[Any, ...]) -> None:
+        kind = message[0]
+        if kind == "ready":
+            proc.ready = True
+        elif kind == "shutdown":
             self.request_shutdown()
-            return
-        if op == "crash_worker":
-            self._crash_worker(client, args)
-            return
-        if op == "stats":
-            self._fanout_stats(client)
-            return
-        # compute ops go to the least-loaded live worker
-        alive = self._alive_workers()
-        if not alive:
-            self._count_error("worker_crashed")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "worker_crashed", "no live worker to serve the request"
-                ),
-            )
-            return
-        worker = min(alive, key=lambda w: (len(w.outstanding), w.worker_id))
-        request = self._new_request(client, op)
-        request.worker_ids.add(worker.worker_id)
-        worker.outstanding.add(request.req_id)
-        self.metrics.counter("serve.requests.dispatched").inc()
-        self._send_to_worker(worker, request.req_id, op, args)
+        elif kind == "crash_worker":
+            self._crash_worker(proc, message[1], message[2])
+        elif kind == "stats":
+            self._next_gather += 1
+            gather = _Gather(proc.worker_id, message[1], set(self._procs))
+            self._gathers[self._next_gather] = gather
+            for other in list(self._procs.values()):
+                self._send(other, ("part", self._next_gather))
+        elif kind == "part":
+            gather = self._gathers.get(message[1])
+            if gather is not None and proc.worker_id in gather.pending:
+                gather.pending.discard(proc.worker_id)
+                gather.parts.append(message[2])
+                if not gather.pending:
+                    self._finish_gather(message[1])
 
-    def _new_request(self, client: _Client, op: str) -> _Request:
-        self._next_req += 1
-        request = _Request(self._next_req, client.fd, op)
-        self._requests[request.req_id] = request
-        client.inflight.add(request.req_id)
-        return request
-
-    def _send_to_worker(
-        self, worker: _Worker, req_id: int, op: str, args: Dict[str, Any]
-    ) -> None:
-        try:
-            worker.conn.send((req_id, op, args))
-        except (BrokenPipeError, OSError):
-            self._worker_died(worker.worker_id)
-
-    def _crash_worker(self, client: _Client, args: Dict[str, Any]) -> None:
-        """Kill one worker (test/ops endpoint exercising crash isolation)."""
-        alive = self._alive_workers()
-        if not alive:
-            self._count_error("bad_request")
-            self._send_to_client(
-                client,
-                protocol.error_response("bad_request", "no live worker to crash"),
-            )
-            return
-        wanted = args.get("worker")
-        if wanted is None:
-            target = max(alive, key=lambda w: len(w.outstanding))
-        else:
-            matches = [w for w in alive if w.worker_id == wanted]
-            if not matches:
-                self._count_error("bad_request")
-                self._send_to_client(
-                    client,
-                    protocol.error_response(
-                        "bad_request", f"no live worker {wanted!r}"
-                    ),
-                )
-                return
-            target = matches[0]
-        pid = target.proc.pid
-        assert pid is not None
-        os.kill(pid, signal.SIGKILL)
-        self._send_to_client(
-            client,
-            protocol.ok_response({"killed": target.worker_id, "pid": pid}),
-        )
-
-    def _fanout_stats(self, client: _Client) -> None:
-        alive = self._alive_workers()
-        request = self._new_request(client, "stats")
-        if not alive:
-            self._finish_stats(request)
-            return
-        for worker in alive:
-            request.worker_ids.add(worker.worker_id)
-            worker.outstanding.add(request.req_id)
-            self._send_to_worker(worker, request.req_id, "stats", {})
-
-    def _finish_stats(self, request: _Request) -> None:
-        self._requests.pop(request.req_id, None)
-        client = self._clients.get(request.client_fd)
-        if client is None:
-            return
-        client.inflight.discard(request.req_id)
+    def _finish_gather(self, gather_id: int) -> None:
+        gather = self._gathers.pop(gather_id)
+        requester = self._procs.get(gather.requester)
+        if requester is None:
+            return  # it died, and its client with it
         merged = MetricsRegistry()
         merged.merge(self.metrics.snapshot())
         caches = []
-        for part in request.parts:
-            merged.merge(part.get("snapshot", {}))
-            caches.append(
-                {"worker": part.get("worker"), "cache": part.get("cache")}
-            )
-        self._send_to_client(
-            client,
-            protocol.ok_response(
-                {
-                    "workers": len(request.parts),
-                    "snapshot": merged.snapshot(),
-                    "caches": caches,
-                }
-            ),
-        )
+        for part in sorted(gather.parts, key=lambda p: p["worker"]):
+            merged.merge(part["snapshot"])
+            caches.append({"worker": part["worker"], "cache": part["cache"]})
+        self._send(requester, ("answer", gather.token, protocol.ok_response({
+            "workers": len(gather.parts),
+            "snapshot": merged.snapshot(),
+            "caches": caches,
+        })))
 
-    # -- worker events -------------------------------------------------
-    def _worker_readable(self, worker_id: int) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None or not worker.alive:
-            return
-        try:
-            while worker.conn.poll():
-                req_id, envelope = worker.conn.recv()
-                self._worker_reply(worker, req_id, envelope)
-        except (EOFError, OSError):
-            self._worker_died(worker_id)
+    def _crash_worker(self, proc: _Proc, token: int, args: Dict[str, Any]) -> None:
+        """Kill one worker (test/ops endpoint exercising crash isolation).
 
-    def _worker_reply(
-        self, worker: _Worker, req_id: int, envelope: Dict[str, Any]
-    ) -> None:
-        if req_id == -1:  # a respawned worker reporting ready
-            return
-        worker.outstanding.discard(req_id)
-        request = self._requests.get(req_id)
-        if request is None:
-            return  # client disconnected mid-request; answer discarded
-        if request.op == "stats":
-            request.worker_ids.discard(worker.worker_id)
-            if envelope.get("ok") is True and isinstance(
-                envelope.get("result"), dict
-            ):
-                request.parts.append(envelope["result"])
-            if not request.worker_ids:
-                self._finish_stats(request)
-            return
-        self._requests.pop(req_id, None)
-        client = self._clients.get(request.client_fd)
-        if client is None:
-            return
-        client.inflight.discard(req_id)
-        if envelope.get("ok") is not True:
-            error = envelope.get("error")
-            if isinstance(error, dict) and error.get("code") in protocol.ERROR_CODES:
-                self._count_error(str(error["code"]))
-        self._send_to_client(client, envelope)
+        Without a ``worker`` argument the lowest-numbered worker other
+        than the asking one is killed.  A worker asked to kill itself
+        may die before it relays the answer; its client then sees EOF.
+        """
+        wanted = args.get("worker")
+        if wanted is None:
+            others = [w for w in sorted(self._procs) if w != proc.worker_id]
+            target = self._procs[others[0] if others else proc.worker_id]
+        else:
+            found = self._procs.get(wanted) if isinstance(wanted, int) else None
+            if found is None:
+                self._send(proc, ("answer", token, protocol.error_response(
+                    "bad_request", f"no live worker {wanted!r}"
+                )))
+                return
+            target = found
+        self._send(proc, ("answer", token, protocol.ok_response(
+            {"killed": target.worker_id, "pid": target.pid}
+        )))
+        os.kill(target.pid, signal.SIGKILL)
 
-    def _worker_died(self, worker_id: int) -> None:
+    def _worker_died(self, proc: _Proc) -> None:
         assert self._sel is not None
-        worker = self._workers.get(worker_id)
-        if worker is None or not worker.alive:
+        self._procs.pop(proc.worker_id, None)
+        self._sel.unregister(proc.chan.sock)
+        proc.chan.sock.close()
+        _reap(proc.pid, grace=1.0)
+        if not self._serving and not self._stop.is_set():
+            raise RuntimeError(f"worker {proc.worker_id} died during startup")
+        for gather_id, gather in list(self._gathers.items()):
+            gather.pending.discard(proc.worker_id)
+            if not gather.pending:
+                self._finish_gather(gather_id)
+        if self._stop.is_set():
             return
-        worker.alive = False
-        try:
-            self._sel.unregister(worker.conn)
-        except (KeyError, ValueError):
-            pass
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        _reap(worker.proc, grace=1.0)
         self.metrics.counter("serve.workers.crashed").inc()
-        # every request that died with the worker gets a typed error now
-        for req_id in sorted(worker.outstanding):
-            request = self._requests.get(req_id)
-            if request is None:
-                continue
-            if request.op == "stats":
-                request.worker_ids.discard(worker_id)
-                if not request.worker_ids:
-                    self._finish_stats(request)
-                continue
-            self._requests.pop(req_id, None)
-            client = self._clients.get(request.client_fd)
-            if client is None:
-                continue
-            client.inflight.discard(req_id)
-            self._count_error("worker_crashed")
-            self._send_to_client(
-                client,
-                protocol.error_response(
-                    "worker_crashed",
-                    f"worker {worker_id} died while serving the request",
-                ),
-            )
-        worker.outstanding.clear()
-        self._workers.pop(worker_id, None)
-        if self.respawn and not self._stop.is_set():
-            self._spawn_worker(worker_id)
+        if self.respawn:
+            self._spawn(proc.worker_id)
             self.metrics.counter("serve.workers.respawned").inc()
 
     # -- teardown ------------------------------------------------------
     def close(self) -> None:
-        """Tear everything down (idempotent; runs on the failure path too)."""
+        """Tear everything down (idempotent; runs on the failure path too).
+
+        Closing a worker's control end is its signal to answer what it
+        holds ``shutting_down`` and exit.
+        """
         if self._closed:
             return
         self._closed = True
         self._stop.set()
-        # in-flight requests are answered with a typed shutting_down error
-        for request in list(self._requests.values()):
-            client = self._clients.get(request.client_fd)
-            if client is None:
-                continue
-            client.inflight.discard(request.req_id)
-            self._count_error("shutting_down")
-            try:
-                client.sock.setblocking(True)
-                client.sock.settimeout(1.0)
-                client.sock.sendall(
-                    protocol.encode_frame(
-                        protocol.error_response(
-                            "shutting_down", "the daemon is shutting down"
-                        )
-                    )
-                )
-            except OSError:
-                pass
-        self._requests.clear()
-        for client in list(self._clients.values()):
-            try:
-                client.sock.close()
-            except OSError:
-                pass
-        self._clients.clear()
+        for proc in self._procs.values():
+            proc.chan.sock.close()
+        for proc in self._procs.values():
+            _reap(proc.pid, grace=5.0)
+        self._procs.clear()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.close()
             self._listener = None
         if self.unix_path is not None:
             try:
                 os.unlink(self.unix_path)
             except OSError:
                 pass
-        for worker in self._workers.values():
-            if not worker.alive:
-                continue
-            try:
-                worker.conn.send((None, "exit", {}))
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in self._workers.values():
-            _reap(worker.proc, grace=5.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._workers.clear()
         for wake in (self._wake_r, self._wake_w):
             if wake is not None:
-                try:
-                    wake.close()
-                except OSError:
-                    pass
+                wake.close()
         self._wake_r = self._wake_w = None
         if self._sel is not None:
             self._sel.close()
@@ -935,10 +931,12 @@ class Server:
             self._share = None
 
 
-def _reap(proc: subprocess.Popen, grace: float) -> None:
+def _reap(pid: int, grace: float) -> None:
     """Wait ``grace`` seconds for a worker to exit, then kill and reap it."""
-    try:
-        proc.wait(timeout=grace)
-    except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-        proc.kill()
-        proc.wait()
+    deadline = time.monotonic() + grace
+    while os.waitpid(pid, os.WNOHANG)[0] == 0:
+        if time.monotonic() >= deadline:  # pragma: no cover - stuck worker
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return
+        time.sleep(0.005)

@@ -20,9 +20,13 @@ Failure semantics are *typed*, never a traceback on the wire:
 * an unknown ``op`` is ``unknown_op``; missing/ill-typed arguments are
   ``bad_request``; a label that is not a vertex of the served structure
   is ``unknown_vertex``;
-* a request in flight on a worker that dies is answered with
-  ``worker_crashed``; requests caught by a shutdown are answered with
-  ``shutting_down``.
+* a connection that already holds as many unanswered requests as the
+  daemon allows gets ``overloaded`` for every frame beyond that;
+  requests caught by a shutdown are answered with ``shutting_down``;
+* ``worker_crashed`` never travels on the wire: a worker owns its
+  client connections, so when it dies the client sees EOF in the middle
+  of a request, and :meth:`repro.serve.client.ServeClient.call` raises
+  it as ``worker_crashed``.
 
 Every error code doubles as a daemon metrics counter
 (``serve.errors.<code>``), so the failure taxonomy is observable with
@@ -54,6 +58,7 @@ ERROR_CODES = (
     "bad_request",
     "unknown_vertex",
     "worker_crashed",
+    "overloaded",
     "shutting_down",
     "internal",
 )

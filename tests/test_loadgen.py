@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -173,6 +174,7 @@ class TestDrivers:
         assert result.requests == len(PAIRS) * 3
         assert result.failures == 0
         assert result.failure_rate == 0.0
+        assert "errors" not in result.to_dict()
         assert result.qps > 0
         assert result.p999_ms >= result.p99_ms >= result.p50_ms > 0
         assert len(answers) == result.requests
@@ -184,6 +186,31 @@ class TestDrivers:
         }
         for u, v, d in answers:
             assert d == pytest.approx(want[(u, v)], abs=1e-9)
+
+    def test_connection_lost_mid_request_counts_as_worker_crashed(self):
+        """A peer that reads each request and hangs up is what a dying
+        worker looks like; every such request fails under
+        ``worker_crashed`` and the driver reconnects for the next."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def accept_read_and_hang_up():
+            for _ in PAIRS:  # one connection per request
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(4096)
+
+        peer = threading.Thread(target=accept_read_and_hang_up, daemon=True)
+        peer.start()
+        try:
+            result, _ = run_closed_level(
+                listener.getsockname(), PAIRS, concurrency=1, timeout=10
+            )
+        finally:
+            peer.join(timeout=10)
+            listener.close()
+        assert result.failures == len(PAIRS)
+        assert result.errors == {"worker_crashed": len(PAIRS)}
+        assert result.to_dict()["errors"] == {"worker_crashed": len(PAIRS)}
 
     def test_closed_level_partition_covers_every_pair(self, served):
         # concurrency above the pair count still issues every pair once
