@@ -3,7 +3,7 @@
 Architecture — a supervisor and N forked workers that own their clients::
 
     clients ── TCP / unix socket ──▶ listener (bound once, before fork)
-                                        │ accepted by any free worker
+                                        │ accepted least-loaded first
                                         ▼
     one shared segment ──▶ worker 0 … worker N-1  (forks of the supervisor)
     (repro.serve.shm, by fd)            │ one control socketpair each
@@ -12,47 +12,29 @@ Architecture — a supervisor and N forked workers that own their clients::
                              crash_worker, shutdown
 
 :meth:`Server.start` publishes the oracle, binds the listener and forks
-each worker after :func:`gc.freeze`, so no collector pass in a child
-writes to the pages it shares with the supervisor.  A child points
-every inherited descriptor except stdio, the listener, its own control
-end and the segment at ``/dev/null``, restores the default SIGTERM and
-SIGINT actions, maps the segment zero-copy and runs its own
-``selectors`` loop — accept, read, parse, compute, encode, flush.  It
-answers ``ping``, ``info``, ``vertices``, ``query``, ``query_many`` and
-``k_nearest`` itself, forwards ``stats``, ``crash_worker`` and
-``shutdown`` to the supervisor, and leaves through :func:`os._exit` on
-every path.
+each worker after :func:`gc.freeze`.  A worker keeps only the listener,
+its control end and the segment of what it inherits, and runs its own
+``selectors`` loop — accept, read, parse, compute, encode, flush — over
+its clients; it forwards ``stats``, ``crash_worker`` and ``shutdown`` to
+the supervisor and leaves through :func:`os._exit` on every path.  The
+worker holding the fewest clients takes a new connection: the others
+leave it to that one for :data:`ACCEPT_DEFER` first.  A worker's death
+is EOF on its control socket (the supervisor respawns it), and the
+supervisor's death is EOF on every worker's.
 
-The supervisor never touches a client.  A worker's death is EOF on its
-control socket: the supervisor reaps it, counts it
-(``serve.workers.crashed``) and forks a replacement over the same
-listener and segment (``.respawned``).  ``stats`` collects every live
-worker's :class:`~repro.obs.metrics.MetricsRegistry` snapshot and cache
-info and folds them into the supervisor's registry through the
-``snapshot()/merge()`` contract.  Neither side blocks on a control
-socket: writes are buffered and flushed when the socket is writable.
-
-A worker's loop never blocks either.  A client whose write buffer
-passes :data:`MAX_CLIENT_WBUF` bytes, or which holds
-:data:`MAX_CLIENT_INFLIGHT` unanswered requests, is not read until it
-drains, and frames read beyond that cap are answered ``overloaded``.
-Clients are served in turn, :data:`FRAMES_PER_TURN` frames each.  Each
-worker keeps per-stage latency histograms
-``serve.stage.{read,parse,compute,encode,flush}`` and the gauges
-``serve.clients.open`` and ``serve.requests.inflight``.
-
-Robustness contract (regression-tested): malformed frames are answered
-``malformed_frame`` on a connection that stays usable; an oversized
-length prefix is answered ``oversized_frame`` and the connection is
-closed; a client that half-closes still gets its answers; a dying
-worker takes only its own connections (the client library reports the
-EOF as ``worker_crashed``); a supervisor killed outright leaves every
-worker reading EOF, so they exit.  No traceback reaches the wire.
+Nothing blocks.  Control writes are buffered both ways.  A client past
+:data:`MAX_CLIENT_WBUF` unsent bytes or :data:`MAX_CLIENT_INFLIGHT`
+parsed requests is neither parsed further nor read until it drains, so
+TCP holds its pipeline back; a worker holding :data:`MAX_WORKER_INFLIGHT`
+requests answers further frames ``overloaded``.  Clients are served in
+turn, :data:`FRAMES_PER_TURN` frames each.  Failures are typed on the
+wire, never a traceback; DESIGN.md "Process topology" has the details.
 """
 
 from __future__ import annotations
 
 import gc
+import mmap
 import os
 import pickle
 import random
@@ -80,9 +62,15 @@ DEFAULT_READY_TIMEOUT = 60.0
 #: a client with more unsent answer bytes than this is neither read nor
 #: served until its buffer drains below it
 MAX_CLIENT_WBUF = 1 << 20
-#: parsed requests a client may have waiting for an answer; frames read
-#: beyond it are answered ``overloaded``
+#: parsed requests a client may have waiting for an answer; further
+#: frames stay unparsed, and unread, until its queue drains
 MAX_CLIENT_INFLIGHT = 64
+#: parsed requests a worker may hold over all its clients; frames parsed
+#: beyond it are answered ``overloaded`` at once
+MAX_WORKER_INFLIGHT = 1024
+#: how long a worker holding more clients than another live worker
+#: leaves a new connection to that one before it accepts it itself
+ACCEPT_DEFER = 0.002
 #: frames answered for one client before the next client's turn
 FRAMES_PER_TURN = 8
 #: how long a ``stats`` fan-out waits for a worker that does not answer
@@ -96,15 +84,14 @@ _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 _COMPUTE_OPS = frozenset(("query", "query_many", "k_nearest"))
 _SUPERVISOR_OPS = frozenset(("stats", "crash_worker"))
 _STAGES = ("read", "parse", "compute", "encode", "flush")
+_ABSENT = 2**31 - 1  # the load a dead worker's slot reads: never the least
 
 
 class _Channel:
-    """Pickled messages over one end of a control socketpair.
-
-    Non-blocking both ways: :meth:`send` buffers and flushes what the
-    socket takes, :meth:`recv` returns the complete messages readable
-    now, or ``None`` once the peer is gone.
-    """
+    """Pickled messages over one end of a control socketpair, never
+    blocking: :meth:`send` buffers what the socket does not take yet,
+    :meth:`recv` returns the complete messages, ``None`` once the peer
+    is gone."""
 
     __slots__ = ("sock", "rbuf", "wbuf")
 
@@ -181,10 +168,12 @@ class _Client:
 class _Worker:
     """One worker's event loop over its own clients."""
 
-    def __init__(self, worker_id: int, listener: socket.socket, ctl: _Channel,
-                 oracle: DistanceOracle, max_frame: int, info: Dict[str, Any]) -> None:
+    def __init__(self, worker_id: int, listener: socket.socket, loads: memoryview,
+                 ctl: _Channel, oracle: DistanceOracle, max_frame: int,
+                 info: Dict[str, Any]) -> None:
         self.worker_id = worker_id
         self.listener = listener
+        self.loads = loads
         self.ctl = ctl
         self.oracle = oracle
         self.by_name = {str(v): v for v in oracle.csr.verts}
@@ -199,6 +188,7 @@ class _Worker:
         self.turns: Deque[_Client] = deque()
         self.waiting: Dict[int, _Client] = {}
         self.next_token = 0
+        self.deferred: Optional[float] = None  # when a deferred accept is due
         self.stopping = False
         self.sel = selectors.DefaultSelector()
         listener.setblocking(False)
@@ -218,10 +208,11 @@ class _Worker:
     # -- loop ------------------------------------------------------------
     def run(self) -> None:
         while not self.stopping:
-            for key, mask in self.sel.select(0 if self.turns else None):
+            due = None if self.deferred is None else self.deferred - time.monotonic()
+            for key, mask in self.sel.select(0 if self.turns else due):
                 client = key.data
                 if client is None:
-                    self.accept()
+                    self.offer()
                 elif client is self.ctl:
                     self.control(mask)
                 else:
@@ -229,11 +220,25 @@ class _Worker:
                         self.flush(client)
                     if mask & _READ and client.events:
                         self.read(client)
+            if self.deferred is not None and time.monotonic() >= self.deferred:
+                self.deferred = None
+                self.sel.register(self.listener, _READ, None)
+                self.accept()
             for _ in range(len(self.turns)):
                 client = self.turns.popleft()
                 client.ready = False
                 self.serve(client)
         self.drain()
+
+    def offer(self) -> None:
+        """Accept a pending connection, unless another live worker
+        holds fewer clients: then leave it to that one for
+        :data:`ACCEPT_DEFER`, and take it if it is still pending."""
+        if self.loads[self.worker_id] > min(self.loads):
+            self.sel.unregister(self.listener)
+            self.deferred = time.monotonic() + ACCEPT_DEFER
+        else:
+            self.accept()
 
     def accept(self) -> None:
         try:
@@ -244,8 +249,12 @@ class _Worker:
         client = _Client(sock)
         self.clients[sock.fileno()] = client
         self.count("serve.clients.accepted")
-        self.open_gauge.set(len(self.clients))
+        self.set_open()
         self.sync(client)
+
+    def set_open(self) -> None:
+        self.loads[self.worker_id] = len(self.clients)
+        self.open_gauge.set(len(self.clients))
 
     def sync(self, client: _Client) -> None:
         """Match the client's selector interest and turn to its state;
@@ -288,7 +297,7 @@ class _Worker:
             client.events = 0
         client.sock.close()
         self.count("serve.clients.closed")
-        self.open_gauge.set(len(self.clients))
+        self.set_open()
 
     # -- input -----------------------------------------------------------
     def read(self, client: _Client) -> None:
@@ -310,9 +319,12 @@ class _Worker:
         self.serve(client)
 
     def parse(self, client: _Client) -> None:
-        """Queue every complete frame of the read buffer, in order."""
+        """Queue the complete frames of the read buffer, in order, until
+        the client holds :data:`MAX_CLIENT_INFLIGHT`; the rest wait in
+        the buffer for the queue to drain."""
         rbuf, pos, added = client.rbuf, 0, 0
-        while len(rbuf) - pos >= _LEN.size:
+        room = MAX_CLIENT_INFLIGHT - len(client.queue)
+        while added < room and len(rbuf) - pos >= _LEN.size:
             (length,) = _LEN.unpack_from(rbuf, pos)
             item: Tuple[Optional[str], Any]
             if length > self.max_frame:
@@ -334,11 +346,10 @@ class _Worker:
                 except ProtocolError as exc:
                     item = (None, exc)
                 self.observe("parse", t0)
-                if len(client.queue) >= MAX_CLIENT_INFLIGHT:
+                if self.inflight + added >= MAX_WORKER_INFLIGHT:
                     item = (None, ProtocolError(
                         "overloaded",
-                        f"more than {MAX_CLIENT_INFLIGHT} requests in flight "
-                        "on this connection",
+                        f"the worker holds {MAX_WORKER_INFLIGHT} requests in flight",
                     ))
             client.queue.append(item)
             added += 1
@@ -348,11 +359,11 @@ class _Worker:
     # -- answers -----------------------------------------------------------
     def serve(self, client: _Client) -> None:
         """One turn: answer up to :data:`FRAMES_PER_TURN` queued frames
-        (``stats``/``crash_worker`` go to the supervisor), then flush."""
+        (``stats``/``crash_worker`` go to the supervisor), refill the
+        queue from the read buffer, then flush."""
         for _ in range(FRAMES_PER_TURN):
-            if not client.queue or client.waiting is not None:
-                break
-            if len(client.wbuf) > MAX_CLIENT_WBUF:
+            if not client.queue or client.waiting is not None or (
+                    len(client.wbuf) > MAX_CLIENT_WBUF):
                 break
             op, args = client.queue.popleft()
             if op in _SUPERVISOR_OPS and not self.stopping:
@@ -364,6 +375,8 @@ class _Worker:
             else:
                 self.add_inflight(-1)
                 self.reply(client, self.answer(op, args))
+        if client.rbuf:
+            self.parse(client)
         self.flush(client)
 
     def answer(self, op: Optional[str], args: Any) -> Dict[str, Any]:
@@ -511,7 +524,8 @@ class _Worker:
     def drain(self) -> None:
         """Stop: answer everything held ``shutting_down``, flush for up
         to :data:`DRAIN_TIMEOUT`."""
-        self.sel.unregister(self.listener)
+        if self.deferred is None:
+            self.sel.unregister(self.listener)
         self.sel.unregister(self.ctl.sock)
         self.listener.close()
         for client in list(self.clients.values()):
@@ -520,7 +534,7 @@ class _Worker:
                 client.queue.appendleft((None, ProtocolError(
                     "shutting_down", "the daemon is shutting down"
                 )))
-            client.eof = True
+            client.eof = True  # frames never parsed see the connection close
             while client.queue:
                 self.reply(client, self.answer(*client.queue.popleft()))
             self.flush(client)
@@ -530,8 +544,9 @@ class _Worker:
                 self.flush(key.data)
 
 
-def _worker_child(worker_id: int, listener: socket.socket, ctl_sock: socket.socket,
-                  shm_fd: int, warm: int, max_frame: int, info: Dict[str, Any]) -> None:
+def _worker_child(worker_id: int, listener: socket.socket, loads: memoryview,
+                  ctl_sock: socket.socket, shm_fd: int, warm: int, max_frame: int,
+                  info: Dict[str, Any]) -> None:
     """Body of a freshly forked worker; never returns."""
     code = 1
     try:
@@ -548,7 +563,7 @@ def _worker_child(worker_id: int, listener: socket.socket, ctl_sock: socket.sock
                 oracle.query(verts[rng.randrange(len(verts))],
                              verts[rng.randrange(len(verts))])
         ctl = _Channel(ctl_sock)
-        worker = _Worker(worker_id, listener, ctl, oracle, max_frame, info)
+        worker = _Worker(worker_id, listener, loads, ctl, oracle, max_frame, info)
         ctl.send(("ready", worker_id, os.getpid()))
         worker.watch_ctl()
         worker.run()
@@ -562,14 +577,10 @@ def _worker_child(worker_id: int, listener: socket.socket, ctl_sock: socket.sock
 
 
 def _replace_inherited_fds(keep: Set[int]) -> None:
-    """Point every inherited descriptor above stdio that is not in
-    ``keep`` at ``/dev/null``, and stdin too.
-
-    The underlying sockets and pipes are released — a sibling's control
-    end in particular, or the supervisor's death would never read as
-    EOF — while the numbers stay taken, so a stale Python object that
-    closes its descriptor later cannot close one this worker opened.
-    """
+    """Point stdin and every inherited descriptor above stdio not in
+    ``keep`` at ``/dev/null``: what they held is released (a sibling's
+    control end would hide the supervisor's death), while the numbers
+    stay taken, so a stale object closing one cannot close a new one."""
     null = os.open(os.devnull, os.O_RDWR)
     for name in sorted(os.listdir("/proc/self/fd")):
         fd = int(name)
@@ -603,20 +614,16 @@ class _Gather:
 
 
 class Server:
-    """The serving daemon: shared-memory publish + N forked workers.
-
-    Build the oracle first (:meth:`DistanceOracle.build`), then::
+    """The serving daemon: shared-memory publish + N forked workers::
 
         server = Server(oracle, workers=4, port=0)
         server.start()            # publish shm, bind, fork workers
         server.serve_forever()    # blocks; request_shutdown() stops it
 
-    ``port=0`` binds an ephemeral TCP port (read it back from
-    ``server.address``); ``unix_path`` serves a unix-domain socket
-    instead.  :meth:`serve_forever` tears everything down on exit —
-    workers answer what they hold ``shutting_down`` and exit, they are
-    reaped (killed if they won't go), and the shared segment is
-    unlinked; the teardown runs on the failure path too.
+    ``port=0`` binds an ephemeral TCP port (see :attr:`address`);
+    ``unix_path`` serves a unix-domain socket instead.  On exit, failure
+    path included, workers answer what they hold ``shutting_down`` and
+    are reaped, and the shared segment is unlinked.
     """
 
     def __init__(
@@ -648,6 +655,9 @@ class Server:
         self._gathers: Dict[int, _Gather] = {}
         self._next_gather = 0
         self._listener: Optional[socket.socket] = None
+        #: open clients per worker, in anonymous memory the forks share; a
+        #: dead worker's slot reads :data:`_ABSENT` until it is replaced
+        self._loads = memoryview(mmap.mmap(-1, 4 * workers)).cast("i")
         self._sel: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
@@ -690,6 +700,7 @@ class Server:
     def _spawn(self, worker_id: int) -> None:
         assert self._share is not None and self._listener is not None
         assert self._sel is not None
+        self._loads[worker_id] = 0
         parent_end, child_end = socket.socketpair()
         gc.freeze()  # the child's collector never writes to shared pages
         # the caller may have other threads (a test serving in one); the
@@ -697,8 +708,8 @@ class Server:
         # reports a crash on fd 2 directly, not through sys.stderr)
         pid = os.fork()
         if pid == 0:  # pragma: no cover - runs in the child, out of coverage's sight
-            _worker_child(worker_id, self._listener, child_end, self._share.fd,
-                          self.warm, self.max_frame, self._info)
+            _worker_child(worker_id, self._listener, self._loads, child_end,
+                          self._share.fd, self.warm, self.max_frame, self._info)
         child_end.close()
         proc = _Proc(worker_id, pid, _Channel(parent_end))
         self._procs[worker_id] = proc
@@ -709,14 +720,9 @@ class Server:
         """Publish the segment, bind the socket, fork workers, wait ready.
 
         The segment's ``/dev/shm`` name is removed as soon as it is
-        written: workers inherit its descriptor, so no crash of any
-        process can leave it behind.
-
-        Raises
-        ------
-        RuntimeError
-            When a worker dies or fails to report ready within
-            ``ready_timeout``.
+        written (workers inherit its descriptor), so no crash of any
+        process can leave it behind.  Raises :class:`RuntimeError` when
+        a worker dies or is not ready within ``ready_timeout``.
         """
         self._share = publish_oracle(self.oracle)
         self._share.unlink_name()
@@ -769,9 +775,7 @@ class Server:
         try:
             while not self._stop.is_set():
                 now = time.monotonic()
-                timeout = min(
-                    [0.5] + [g.deadline - now for g in self._gathers.values()]
-                )
+                timeout = min([0.5] + [g.deadline - now for g in self._gathers.values()])
                 self._pump(max(0.0, timeout))
                 for gather_id, gather in list(self._gathers.items()):
                     if gather.deadline <= time.monotonic():
@@ -853,12 +857,9 @@ class Server:
         })))
 
     def _crash_worker(self, proc: _Proc, token: int, args: Dict[str, Any]) -> None:
-        """Kill one worker (test/ops endpoint exercising crash isolation).
-
-        Without a ``worker`` argument the lowest-numbered worker other
-        than the asking one is killed.  A worker asked to kill itself
-        may die before it relays the answer; its client then sees EOF.
-        """
+        """Kill one worker (test/ops endpoint exercising crash isolation):
+        ``worker``, or else the lowest-numbered one but the asking one.
+        A worker that kills itself may die before it relays the answer."""
         wanted = args.get("worker")
         if wanted is None:
             others = [w for w in sorted(self._procs) if w != proc.worker_id]
@@ -879,6 +880,7 @@ class Server:
     def _worker_died(self, proc: _Proc) -> None:
         assert self._sel is not None
         self._procs.pop(proc.worker_id, None)
+        self._loads[proc.worker_id] = _ABSENT
         self._sel.unregister(proc.chan.sock)
         proc.chan.sock.close()
         _reap(proc.pid, grace=1.0)
@@ -898,10 +900,7 @@ class Server:
     # -- teardown ------------------------------------------------------
     def close(self) -> None:
         """Tear everything down (idempotent; runs on the failure path too).
-
-        Closing a worker's control end is its signal to answer what it
-        holds ``shutting_down`` and exit.
-        """
+        Closing a worker's control end is its signal to drain and exit."""
         if self._closed:
             return
         self._closed = True

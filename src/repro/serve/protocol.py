@@ -20,8 +20,10 @@ Failure semantics are *typed*, never a traceback on the wire:
 * an unknown ``op`` is ``unknown_op``; missing/ill-typed arguments are
   ``bad_request``; a label that is not a vertex of the served structure
   is ``unknown_vertex``;
-* a connection that already holds as many unanswered requests as the
-  daemon allows gets ``overloaded`` for every frame beyond that;
+* a worker that already holds as many unanswered requests over all
+  its connections as the daemon allows answers ``overloaded`` to every
+  frame it parses beyond that (one connection's own pipeline is held
+  back by TCP instead, never refused);
   requests caught by a shutdown are answered with ``shutting_down``;
 * ``worker_crashed`` never travels on the wire: a worker owns its
   client connections, so when it dies the client sees EOF in the middle

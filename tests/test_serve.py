@@ -11,8 +11,9 @@ Three layers of contract:
   SIGKILLed workers leave the daemon serving;
 * **liveness under hostile clients** — a client that pipelines without
   reading, reads slowly, or half-closes never stalls anyone else; a
-  stopped worker does not stop new connections; excess pipelined
-  frames are answered ``overloaded``, never dropped;
+  stopped worker does not stop new connections; a pipeline is held
+  back by TCP and answered whole, and only a worker holding its cap
+  of requests over all clients answers ``overloaded``;
 * **correctness under concurrency** — workers=N answers equal
   workers=1 answers equal Dijkstra-on-H (1e-9), and per-worker metric
   registries merge into exact totals.
@@ -465,7 +466,9 @@ class TestLiveness:
             time.sleep(0.5)  # the flood is in place, nobody reads it
             assert _timed_ping(flood_served.address) < 1.0
             # once the flooder reads, every frame ends in an answer or in
-            # ``overloaded`` — none is lost, and answers stay exact
+            # ``overloaded`` — none is lost, and answers stay exact.  One
+            # connection never holds more parsed frames than its cap (the
+            # rest wait in TCP's buffers), so here every frame is answered
             want = FLOOD_ORACLE.k_nearest(0, 2000)
             codes = Counter()
             flood.settimeout(60)
@@ -481,11 +484,7 @@ class TestLiveness:
             assert not sender.is_alive()
         finally:
             flood.close()
-        assert set(codes) == {"ok", "overloaded"}, codes
-        assert sum(codes.values()) == frames
-        with ServeClient.open(flood_served.address) as c:
-            snap = c.stats()["snapshot"]
-        assert snap["serve.errors.overloaded"]["value"] >= codes["overloaded"]
+        assert codes == Counter(ok=frames), codes
 
     def test_slow_reader_never_stalls_other_clients(self, flood_served):
         frames = 64  # within the in-flight cap: every one is answered
@@ -556,13 +555,14 @@ class TestLiveness:
     def test_pipelining_clients_on_more_workers_than_cores(self):
         """Stress: three workers, twelve threads of short-lived
         connections that pipeline up to 99 queries, a fifth of them
-        hanging up before reading.  Every answer read is exact or
-        ``overloaded``, every frame is parsed exactly once, and no
-        in-flight count is lost (only the stats request itself is in
-        flight when it is snapshotted)."""
+        hanging up before reading.  Every frame of these moderate
+        pipelines is answered, exactly; every frame a reading client
+        sent is parsed once (a hung-up one's may stay unread past the
+        in-flight cap), and no in-flight count is lost (only the stats
+        request itself is in flight when it is snapshotted)."""
         server = Server(ORACLE, workers=3, port=0)
         thread = _serve_in_thread(server)
-        bad, sent = [], [0] * 12
+        bad, sent, read = [], [0] * 12, [0] * 12
 
         def client(slot):
             rng = random.Random(slot)
@@ -577,14 +577,12 @@ class TestLiveness:
                     ))
                     if rng.random() < 0.2:
                         continue  # gone before any answer
+                    read[slot] += len(pairs)
                     for u, v in pairs:
                         reply = read_frame(sock)
-                        if reply["ok"]:
-                            if reply["result"]["distance"] != pytest.approx(
-                                ORACLE.query(u, v), abs=1e-9
-                            ):
-                                bad.append((u, v, reply))
-                        elif reply["error"]["code"] != "overloaded":
+                        if not reply["ok"] or reply["result"]["distance"] != (
+                            pytest.approx(ORACLE.query(u, v), abs=1e-9)
+                        ):
                             bad.append((u, v, reply))
 
         def run_client(slot):
@@ -609,10 +607,61 @@ class TestLiveness:
         assert bad == []
         snap = stats["snapshot"]
         assert stats["workers"] == 3
-        assert snap["serve.requests.total"]["value"] == sum(sent) + 1
-        assert snap["serve.stage.parse"]["count"] == sum(sent) + 1
+        parsed = snap["serve.requests.total"]["value"]
+        assert sum(read) + 1 <= parsed <= sum(sent) + 1
+        assert snap["serve.stage.parse"]["count"] == parsed
         assert snap["serve.requests.inflight"]["value"] == 1
         assert "serve.workers.crashed" not in snap
+        assert "serve.errors.overloaded" not in snap
+
+    def test_saturated_worker_answers_overloaded_in_order(self):
+        """A worker holding MAX_WORKER_INFLIGHT requests over all its
+        clients answers the next frames ``overloaded`` at once.  Twenty
+        connections each put 64 queries in while the worker is stopped;
+        it wakes to 1280 frames and can answer only 8 per connection
+        before parsing the rest, so at least 96 are shed.  Each
+        connection still gets one answer per frame, in order."""
+        before = set(_children(os.getpid()))
+        server = Server(ORACLE, workers=1, port=0)
+        thread = _serve_in_thread(server)
+        (worker,) = set(_children(os.getpid())) - before
+        socks = [_raw_conn(server) for _ in range(20)]
+        pipeline = (PAIRS * 4)[:64]
+        try:
+            for sock in socks:  # accepted before the worker stops
+                sock.sendall(encode_frame({"op": "ping"}))
+                assert read_frame(sock)["ok"]
+            os.kill(worker, signal.SIGSTOP)
+            try:
+                for sock in socks:
+                    sock.sendall(b"".join(
+                        encode_frame({"op": "query", "u": str(u), "v": str(v)})
+                        for u, v in pipeline
+                    ))
+            finally:
+                os.kill(worker, signal.SIGCONT)
+            codes = Counter()
+            for sock in socks:
+                for u, v in pipeline:
+                    reply = read_frame(sock)
+                    if reply["ok"]:
+                        assert reply["result"]["distance"] == pytest.approx(
+                            ORACLE.query(u, v), abs=1e-9
+                        )
+                        codes["ok"] += 1
+                    else:
+                        codes[reply["error"]["code"]] += 1
+            with ServeClient.open(server.address) as c:
+                assert c.ping() is True
+                snap = c.stats()["snapshot"]
+        finally:
+            for sock in socks:
+                sock.close()
+            server.request_shutdown()
+            thread.join(timeout=30)
+        assert set(codes) == {"ok", "overloaded"}, codes
+        assert codes["overloaded"] >= 20 * 64 - 1024 - 20 * 8
+        assert snap["serve.errors.overloaded"]["value"] == codes["overloaded"]
 
 
 # ---------------------------------------------------------------------------
@@ -872,17 +921,34 @@ class TestStageMetrics:
 
 
 class TestThroughput:
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_closed_loop_clients_spread_over_both_workers(self, concurrency):
+        """A worker holding more clients than another leaves a new
+        connection to that one, so a closed loop's connections land on
+        both workers of a workers=2 daemon, and both answer queries."""
+        server = Server(ORACLE, workers=2, port=0)
+        thread = _serve_in_thread(server)
+        try:
+            pairs = [(str(u), str(v)) for u, v in PAIRS] * 4
+            level, _ = run_closed_level(server.address, pairs, concurrency)
+            assert level.failures == 0
+            with ServeClient.open(server.address) as c:
+                caches = c.stats()["caches"]
+        finally:
+            server.request_shutdown()
+            thread.join(timeout=30)
+        lookups = [w["cache"]["hits"] + w["cache"]["misses"] for w in caches]
+        assert len(lookups) == 2 and min(lookups) > 0, lookups
+        assert sum(lookups) == len(pairs)
+
     def test_two_workers_keep_single_worker_throughput(self):
         """No-collapse bar: at smoke size a workers=2 daemon keeps at
-        least 0.7x the closed-loop qps of workers=1.
-
-        The clients run pinned to one CPU and every worker of both
-        daemons to another, so both daemons get the same one-core
-        budget and the ratio reads what fanning out over two workers
-        costs.  Unpinned on a two-core host, eight client threads and
-        two busy workers compete for both cores, and the ratio swings
-        with where the scheduler puts them.  Best of five interleaved
-        rounds each, so a passing slowdown on the host hits both sides.
+        least 0.7x the closed-loop qps of workers=1.  Nothing is
+        pinned.  Two clients, one per worker once they spread: more
+        client threads in this one process mostly measure their own
+        contention for the interpreter lock on a small host.  Best of
+        five interleaved rounds each, so a passing slowdown on the
+        host hits both sides.
         """
         profile = get_profile("slt-er")
         _graph, structure, _, _ = build_profile_structure(profile, "smoke")
@@ -890,26 +956,20 @@ class TestThroughput:
         raw_pairs, _sources = build_query_mix(structure, mix, profile.seed)
         pairs = [(str(u), str(v)) for u, v in raw_pairs]
         oracle = build_oracle(structure, landmarks=mix.landmarks, seed=profile.seed)
-        cpus = sorted(os.sched_getaffinity(0))
         servers, threads = {}, []
         best = {1: 0.0, 2: 0.0}
         try:
             for workers in (1, 2):
-                before = set(_children(os.getpid()))
                 servers[workers] = Server(oracle, workers=workers, port=0, warm=2)
                 threads.append(_serve_in_thread(servers[workers]))
-                for pid in set(_children(os.getpid())) - before:
-                    os.sched_setaffinity(pid, {cpus[-1]})
-            os.sched_setaffinity(0, {cpus[0]})  # this thread and its clients
             for round_ in range(5):
                 for workers in ((1, 2) if round_ % 2 == 0 else (2, 1)):
                     level, _ = run_closed_level(
-                        servers[workers].address, pairs, 8, repeats=4
+                        servers[workers].address, pairs, 2, repeats=8
                     )
                     assert level.failures == 0
                     best[workers] = max(best[workers], level.qps)
         finally:
-            os.sched_setaffinity(0, cpus)
             for server in servers.values():
                 server.request_shutdown()
             for thread in threads:
